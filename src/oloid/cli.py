@@ -27,6 +27,9 @@ EXIT_FAILURE = 1
 EXIT_ROUTE_DISAGREEMENT = 2
 EXIT_USAGE = 64
 
+# Mesh memory grows as n^2: about 1 GB at n = 1024.
+MAX_RESOLUTION = 1024
+
 
 @dataclass(frozen=True)
 class OutputRecord:
@@ -277,7 +280,11 @@ def _build_parser() -> _Parser:
     p_kin.set_defaults(func=_cmd_kinematic)
 
     p_mesh = sub.add_parser("mesh", help="export a watertight OBJ mesh")
-    p_mesh.add_argument("--resolution", type=int, required=True)
+    p_mesh.add_argument(
+        "--resolution", type=int, required=True,
+        help=f"grid intervals per sheet, 2..{MAX_RESOLUTION} "
+        "(memory grows as n^2, about 1 GB at the cap)",
+    )
     p_mesh.add_argument("--out", required=True, help="output OBJ path")
     p_mesh.set_defaults(func=_cmd_mesh)
 
@@ -293,6 +300,11 @@ def _validate(parser: _Parser, args) -> None:
         parser.error("--rho must be nonnegative")
     if getattr(args, "resolution", 2) < 2:
         parser.error("--resolution must be at least 2")
+    if getattr(args, "resolution", 2) > MAX_RESOLUTION:
+        parser.error(
+            f"--resolution must be at most {MAX_RESOLUTION} "
+            "(mesh memory grows as n^2, about 1 GB at the cap)"
+        )
     mc = getattr(args, "mc_samples", None)
     if mc is not None and mc < 10_000:
         parser.error("--mc-samples must be at least 10000")

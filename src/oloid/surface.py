@@ -239,10 +239,21 @@ def build_mesh(n_m: int, n_t: int) -> TriMesh:
     vertices are merged by exact coordinate key.  Each grid cell is split
     along the diagonal of increasing (m + t).  Cells degenerating to zero
     area are kept: they contribute nothing to area or volume and keep the
-    indexing regular.
+    indexing regular.  Vertices are in ascending lexicographic (x, y, z)
+    order.
     """
     if n_m < 1 or n_t < 2:
         raise ValueError(f"need n_m >= 1 and n_t >= 2, got ({n_m}, {n_t})")
+    x, y, z, tris = _unwelded_sheets(n_m, n_t)
+    vertices, inverse = _weld(x, y, z)
+    return TriMesh(vertices=vertices, triangles=inverse[tris], n_m=n_m, n_t=n_t)
+
+
+def _unwelded_sheets(
+    n_m: int, n_t: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Grid point coordinates x, y, z of both sheets (z >= 0 sheet first,
+    each row-major in (m, t)) and their outward-wound triangles."""
     m = np.linspace(0.0, 1.0, n_m + 1)
     _, c, s = _parameter_grid(n_t)
 
@@ -257,13 +268,12 @@ def build_mesh(n_m: int, n_t: int) -> TriMesh:
     zmag[:, 0] = 0.0  # 1 + 2 cos t vanishes analytically at |t| = 2*pi/3
     zmag[:, n_t] = 0.0
 
-    sheets = []
-    for sign in (1.0, -1.0):
-        # "+ 0.0" canonicalizes -0.0 so exact-key merging and printing are
-        # independent of the sheet that produced a weld vertex
-        pts = np.stack([x + 0.0, y + 0.0, sign * zmag + 0.0], axis=-1)
-        sheets.append(pts.reshape(-1, 3))
-    verts = np.concatenate(sheets, axis=0)
+    # "+ 0.0" canonicalizes -0.0 so exact-key merging and printing are
+    # independent of the sheet that produced a weld vertex
+    x = np.tile(x.ravel() + 0.0, 2)
+    y = np.tile(y.ravel() + 0.0, 2)
+    zmag = zmag.ravel()
+    z = np.concatenate([zmag + 0.0, -zmag + 0.0])
 
     off = (n_m + 1) * (n_t + 1)
     plus = _sheet_triangles(n_m, n_t)
@@ -271,12 +281,25 @@ def build_mesh(n_m: int, n_t: int) -> TriMesh:
     # w_m x w_t points into the body, so the (m, t)-counterclockwise split is
     # outward on the mirrored sheet and must be reversed on the z >= 0 sheet
     tris = np.concatenate([plus[:, ::-1], minus], axis=0)
+    return x, y, z, tris
 
-    unique, inverse = np.unique(verts, axis=0, return_inverse=True)
-    tris = inverse.reshape(-1)[tris]
-    return TriMesh(
-        vertices=unique, triangles=tris.astype(np.int64), n_m=n_m, n_t=n_t
-    )
+
+def _weld(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge points with identical coordinates.
+
+    Returns the distinct points in ascending lexicographic (x, y, z) order
+    and the map from each input point to its row there: the result of
+    ``np.unique(points, axis=0, return_inverse=True)``, found with one
+    lexsort, an adjacent-row comparison and a running count.
+    """
+    order = np.lexsort((z, y, x))
+    pts = np.stack([x[order], y[order], z[order]], axis=1)
+    new = np.empty(len(pts), dtype=bool)
+    new[0] = True
+    np.any(pts[1:] != pts[:-1], axis=1, out=new[1:])
+    inverse = np.empty(len(pts), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return pts[new], inverse
 
 
 def _sheet_triangles(n_m: int, n_t: int) -> np.ndarray:
@@ -316,14 +339,21 @@ def _directed_edges(mesh: TriMesh) -> np.ndarray:
 
 
 def mesh_is_closed(mesh: TriMesh) -> bool:
-    """True when every edge is shared by exactly two consistently wound triangles."""
-    edges = _directed_edges(mesh)
+    """True when every edge is shared by exactly two consistently wound triangles.
+
+    Equivalently: no directed edge occurs twice, and the directed edges are
+    a permutation of their reverses.
+    """
+    tris = _real_triangles(mesh.triangles)
     nv = len(mesh.vertices)
-    keys = edges[:, 0] * nv + edges[:, 1]
-    if len(np.unique(keys)) != len(keys):
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    keys = np.concatenate([a * nv + b, b * nv + c, c * nv + a])
+    rev = np.concatenate([b * nv + a, c * nv + b, a * nv + c])
+    keys.sort()
+    if np.any(keys[1:] == keys[:-1]):
         return False  # an edge traversed twice in the same direction
-    rev = edges[:, 1] * nv + edges[:, 0]
-    return bool(np.array_equal(np.sort(keys), np.sort(rev)))
+    rev.sort()
+    return bool(np.array_equal(keys, rev))
 
 
 def euler_characteristic(mesh: TriMesh) -> int:
@@ -354,20 +384,47 @@ def mesh_area(mesh: TriMesh) -> float:
     return float(0.5 * np.sum(np.linalg.norm(cross, axis=1)))
 
 
+# Rows formatted per write call by export_obj: large enough to amortize the
+# per-call cost, small enough that a formatted block stays under 1 MB.
+_OBJ_BLOCK_ROWS = 8192
+
+
 def export_obj(mesh: TriMesh, sink: str | IO[str]) -> None:
     """Write the mesh as Wavefront OBJ.
 
     ``v x y z`` lines (17 significant digits, ASCII) followed by 1-based
     ``f i j k`` lines; every line newline-terminated.  Output is
     byte-identical across runs for identical meshes.
+
+    A path is written atomically: the OBJ goes to ``<sink>.<pid>.tmp`` in the
+    same directory and is renamed onto ``sink`` only when complete, so a
+    failed write leaves any existing file untouched and no temporary behind.
     """
-    own = isinstance(sink, str)
-    fh = open(sink, "w", encoding="ascii", newline="\n") if own else sink
+    if not isinstance(sink, str):
+        _write_obj(mesh, sink)
+        return
+    import os  # only path sinks need it; every CLI command imports this module
+
+    tmp = f"{sink}.{os.getpid()}.tmp"
     try:
-        for vx, vy, vz in mesh.vertices:
-            fh.write(f"v {vx:.16e} {vy:.16e} {vz:.16e}\n")
-        for a, b, c in mesh.triangles:
-            fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
-    finally:
-        if own:
-            fh.close()
+        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+            _write_obj(mesh, fh)
+        os.replace(tmp, sink)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def _write_obj(mesh: TriMesh, fh: IO[str]) -> None:
+    # One % per block of rows: '%.16e' % x and '%d' % i print exactly as
+    # f"{x:.16e}" and f"{i}"
+    v, f = mesh.vertices, mesh.triangles
+    for start in range(0, len(v), _OBJ_BLOCK_ROWS):
+        block = v[start : start + _OBJ_BLOCK_ROWS]
+        fh.write("v %.16e %.16e %.16e\n" * len(block) % tuple(block.ravel().tolist()))
+    for start in range(0, len(f), _OBJ_BLOCK_ROWS):
+        block = f[start : start + _OBJ_BLOCK_ROWS] + 1
+        fh.write("f %d %d %d\n" * len(block) % tuple(block.ravel().tolist()))

@@ -1,12 +1,14 @@
 """Shared independent oracles: brute-force quadrature, finite differences,
-and cached meshes.  These deliberately avoid the library's own integration
-code paths."""
+cached meshes, and the straightforward mesh weld, closure check and OBJ
+writer that the library's vectorized versions must reproduce exactly.
+These deliberately avoid the library's own integration code paths."""
 
 import math
 from functools import lru_cache
 
 import numpy as np
 
+from oloid import surface
 from oloid.surface import build_mesh
 
 
@@ -53,3 +55,35 @@ def second_deriv(fn, t, h=1e-4):
 @lru_cache(maxsize=8)
 def cached_mesh(n):
     return build_mesh(n, n)
+
+
+def unique_weld(n_m, n_t):
+    """build_mesh's (vertices, triangles) welded by np.unique(axis=0)."""
+    x, y, z, tris = surface._unwelded_sheets(n_m, n_t)
+    verts = np.stack([x, y, z], axis=1)
+    unique, inverse = np.unique(verts, axis=0, return_inverse=True)
+    return unique, inverse.reshape(-1)[tris].astype(np.int64)
+
+
+def closed_by_unique(mesh):
+    """Closure check by distinct directed edges and sorted reverse keys."""
+    tris = mesh.triangles
+    tris = tris[
+        (tris[:, 0] != tris[:, 1])
+        & (tris[:, 1] != tris[:, 2])
+        & (tris[:, 0] != tris[:, 2])
+    ]
+    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    nv = len(mesh.vertices)
+    keys = edges[:, 0] * nv + edges[:, 1]
+    if len(np.unique(keys)) != len(keys):
+        return False
+    rev = edges[:, 1] * nv + edges[:, 0]
+    return bool(np.array_equal(np.sort(keys), np.sort(rev)))
+
+
+def obj_text(mesh):
+    """Wavefront OBJ written one f-string line at a time."""
+    lines = [f"v {vx:.16e} {vy:.16e} {vz:.16e}\n" for vx, vy, vz in mesh.vertices]
+    lines += [f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in mesh.triangles]
+    return "".join(lines)

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from oloid import cli
+
 B_REF = 2.190676966231589
 V_REF = 3.05241846842437485669720053193
 
@@ -204,6 +206,25 @@ def test_mesh_tiny_resolution(tmp_path):
 def test_mesh_resolution_too_small_is_usage_error(tmp_path):
     proc = run_cli("mesh", "--resolution", "1", "--out", str(tmp_path / "x.obj"))
     assert proc.returncode == 64
+
+
+def test_mesh_resolution_above_cap_is_usage_error(tmp_path):
+    out = tmp_path / "x.obj"
+    proc = run_cli("mesh", "--resolution", "1025", "--out", str(out))
+    assert proc.returncode == 64
+    assert "--resolution must be at most 1024" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_mesh_resolution_cap_is_accepted_and_documented(capsys):
+    # validation only: a 1024 mesh is never built here
+    parser = cli._build_parser()
+    args = parser.parse_args(["mesh", "--resolution", "1024", "--out", "x.obj"])
+    cli._validate(parser, args)
+    with pytest.raises(SystemExit):
+        parser.parse_args(["mesh", "--help"])
+    assert "2..1024" in capsys.readouterr().out
 
 
 def test_mesh_io_failure(tmp_path):

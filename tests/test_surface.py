@@ -1,3 +1,5 @@
+import errno
+import hashlib
 import io
 import math
 
@@ -310,8 +312,7 @@ def test_mesh_second_order_convergence():
     assert 1.85 <= order <= 2.15
 
 
-def test_octahedron_reference_volume_and_area():
-    # known polyhedron through the same accumulation paths
+def _octahedron():
     verts = np.array(
         [
             [1.0, 0, 0],
@@ -329,7 +330,12 @@ def test_octahedron_reference_volume_and_area():
         ],
         dtype=np.int64,
     )
-    mesh = sf.TriMesh(vertices=verts, triangles=tris, n_m=0, n_t=0)
+    return sf.TriMesh(vertices=verts, triangles=tris, n_m=0, n_t=0)
+
+
+def test_octahedron_reference_volume_and_area():
+    # known polyhedron through the same accumulation paths
+    mesh = _octahedron()
     assert sf.mesh_volume(mesh) == pytest.approx(4.0 / 3.0, rel=1e-15)
     assert sf.mesh_area(mesh) == pytest.approx(4.0 * math.sqrt(3.0), rel=1e-15)
 
@@ -363,3 +369,164 @@ def test_export_obj_round_trip_and_determinism():
     assert tri0 == list(mesh.triangles[0])
     x = float(v_lines[0].split()[1])
     assert math.isfinite(x)
+
+
+# --- weld, closure check and OBJ export against their straightforward forms --
+
+SMALL_GRIDS = [(1, 2), (2, 2), (3, 3), (1, 3), (5, 4), (8, 8), (7, 13)]
+
+
+@pytest.mark.parametrize(
+    "nm,nt", [(1, 2), (2, 2), (3, 3), (5, 4), (8, 8), (7, 13), (64, 64)]
+)
+def test_weld_matches_unique_oracle(nm, nt):
+    mesh = sf.build_mesh(nm, nt)
+    ref_vertices, ref_triangles = oracles.unique_weld(nm, nt)
+    np.testing.assert_array_equal(mesh.vertices, ref_vertices)
+    np.testing.assert_array_equal(mesh.triangles, ref_triangles)
+    assert mesh.triangles.dtype == np.int64
+
+
+def _with_triangles(mesh, tris):
+    return sf.TriMesh(
+        vertices=mesh.vertices, triangles=tris, n_m=mesh.n_m, n_t=mesh.n_t
+    )
+
+
+def _first_real_triangle(mesh):
+    return next(
+        i for i, (a, b, c) in enumerate(mesh.triangles) if a != b and b != c and a != c
+    )
+
+
+def _flipped(mesh):
+    # reverse the first non-degenerate triangle: each of its edges now runs
+    # the same way as the neighbour's
+    tris = mesh.triangles.copy()
+    k = _first_real_triangle(mesh)
+    tris[k, [0, 2]] = tris[k, [2, 0]]
+    return _with_triangles(mesh, tris)
+
+
+def _dropped(mesh):
+    k = _first_real_triangle(mesh)
+    return _with_triangles(mesh, np.delete(mesh.triangles, k, axis=0))
+
+
+def _doubled(mesh):
+    # a triangle and its reverse added on top: edge keys stay symmetric, but
+    # four triangles meet on each of its edges
+    k = _first_real_triangle(mesh)
+    extra = np.stack([mesh.triangles[k], mesh.triangles[k, ::-1]])
+    return _with_triangles(mesh, np.concatenate([mesh.triangles, extra]))
+
+
+@pytest.mark.parametrize(
+    "broken", [_flipped, _dropped, _doubled], ids=["flipped", "dropped", "doubled"]
+)
+def test_mesh_is_closed_rejects_broken_mesh(broken):
+    for mesh in (sf.build_mesh(8, 8), _octahedron()):
+        bad = broken(mesh)
+        assert not sf.mesh_is_closed(bad)
+        with pytest.raises(ValueError):
+            sf.mesh_volume(bad)
+
+
+def _repeated_directed_edges(mesh):
+    tris = sf._real_triangles(mesh.triangles)
+    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    return len(edges) - len(np.unique(edges, axis=0))
+
+
+def test_flipped_triangle_repeats_its_directed_edges():
+    mesh = sf.build_mesh(8, 8)
+    assert _repeated_directed_edges(mesh) == 0
+    assert _repeated_directed_edges(_flipped(mesh)) == 3
+
+
+@pytest.mark.parametrize(
+    "grid",
+    SMALL_GRIDS + [None],
+    ids=[f"{nm}x{nt}" for nm, nt in SMALL_GRIDS] + ["octahedron"],
+)
+def test_mesh_is_closed_agrees_with_oracle(grid):
+    mesh = _octahedron() if grid is None else sf.build_mesh(*grid)
+    for variant in (mesh, _flipped(mesh), _dropped(mesh), _doubled(mesh)):
+        assert sf.mesh_is_closed(variant) == oracles.closed_by_unique(variant)
+    assert sf.mesh_is_closed(mesh)
+
+
+def _obj(mesh):
+    buf = io.StringIO()
+    sf.export_obj(mesh, buf)
+    return buf.getvalue()
+
+
+def test_export_obj_matches_line_oracle():
+    mesh = sf.build_mesh(5, 7)
+    assert _obj(mesh) == oracles.obj_text(mesh)
+
+
+def test_export_obj_matches_line_oracle_across_blocks(monkeypatch):
+    mesh = sf.build_mesh(96, 96)
+    assert len(mesh.vertices) > sf._OBJ_BLOCK_ROWS
+    assert len(mesh.triangles) > 2 * sf._OBJ_BLOCK_ROWS
+    assert _obj(mesh) == oracles.obj_text(mesh)
+    # block boundaries that do not divide either row count
+    small = sf.build_mesh(5, 7)
+    monkeypatch.setattr(sf, "_OBJ_BLOCK_ROWS", 7)
+    assert _obj(small) == oracles.obj_text(small)
+
+
+def test_export_obj_sha256_pinned():
+    text = _obj(sf.build_mesh(16, 16))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+        "6443977f42bad047924a98c510b9e0bd6831d0eea4e89bb17b907f4a431149a2"
+    )
+
+
+def test_export_obj_path_replaces_target(tmp_path):
+    mesh = sf.build_mesh(4, 4)
+    out = tmp_path / "mesh.obj"
+    out.write_text("old\n")
+    sf.export_obj(mesh, str(out))
+    assert out.read_bytes() == oracles.obj_text(mesh).encode("ascii")
+    assert [p.name for p in tmp_path.iterdir()] == ["mesh.obj"]
+
+
+class _DiskFull:
+    """File wrapper whose third write fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(text)
+
+
+def test_export_obj_failed_write_keeps_target(tmp_path, monkeypatch):
+    out = tmp_path / "mesh.obj"
+    out.write_text("old\n")
+    opened = []
+
+    def failing_open(*args, **kwargs):
+        opened.append(_DiskFull(open(*args, **kwargs)))
+        return opened[-1]
+
+    monkeypatch.setattr(sf, "_OBJ_BLOCK_ROWS", 8)
+    monkeypatch.setattr(sf, "open", failing_open, raising=False)
+    with pytest.raises(OSError):
+        sf.export_obj(sf.build_mesh(4, 4), str(out))
+    assert opened[0].writes == 3  # failed mid-stream, after two blocks
+    assert out.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["mesh.obj"]
