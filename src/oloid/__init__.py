@@ -7,6 +7,9 @@ width) by independent routes -- closed forms in complete elliptic
 integrals, certified numerical quadrature, a watertight mesh oracle and
 Monte Carlo -- and derives parallel-body and kinematic-formula quantities
 from them.
+
+numpy is imported only inside the mesh and Monte Carlo functions, so the
+closed-form and quadrature routes run on the standard library alone.
 """
 
 from .specfun import agm, ellipe, ellipk

@@ -5,15 +5,18 @@ Subcommands: ``constants`` (intrinsic quantities by every route),
 and intersection expectations, with an optional Monte Carlo oracle for the
 ball-ball pair), ``mesh`` (triangle-mesh export with discrete volume/area).
 
-Exit codes: 0 success, 1 computational failure, 2 route disagreement,
-64 usage error.  Output is deterministic for identical flags (seeds
-included): numeric printing is 17 significant digits in json/csv and 12 in
-text, and record order is fixed.
+Exit codes: 0 success, 1 computational failure (including a result that
+overflows or is not finite; nothing is printed to stdout then), 2 route
+disagreement, 64 usage error (including a non-finite --radius, --rho or
+--tol).  Output is deterministic for identical flags (seeds included):
+numeric printing is 17 significant digits in json/csv and 12 in text, and
+record order is fixed.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -29,6 +32,10 @@ EXIT_USAGE = 64
 
 # Mesh memory grows as n^2: about 1 GB at n = 1024.
 MAX_RESOLUTION = 1024
+# Monte Carlo memory is bounded by the shard size and time is linear in the
+# sample count: the ball-ball oracle takes about 16 s at the cap (2-core VM).
+MIN_MC_SAMPLES = 10_000
+MAX_MC_SAMPLES = 1_000_000_000
 
 
 @dataclass(frozen=True)
@@ -51,6 +58,10 @@ def _fmt(value: float, digits: int = 17) -> str:
 
 
 def _emit(records: list[OutputRecord], fmt: str, out) -> None:
+    for r in records:
+        for number in (r.value, r.err_est):
+            if number is not None and not math.isfinite(number):
+                raise ArithmeticError(f"{r.quantity} ({r.route}) is {number}, not finite")
     if fmt == "json":
         lines = ["["]
         for idx, r in enumerate(records):
@@ -186,7 +197,11 @@ def _cmd_kinematic(args) -> int:
     }
     body_k, body_m = pairs[args.pair]
     funcs = steiner_kinematic.kinematic_functionals(body_k, body_m)
-    expect = steiner_kinematic.intersection_expectations(body_k, body_m)
+    try:
+        expect = steiner_kinematic.intersection_expectations(body_k, body_m)
+    except ValueError as exc:  # I0 underflows to 0 at tiny radii
+        print(f"computational failure: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     records = [
         OutputRecord("I0", "kinematic", funcs.i0, None, 3),
         OutputRecord("I1", "kinematic", funcs.i1, None, 4),
@@ -273,9 +288,10 @@ def _build_parser() -> _Parser:
     p_kin.add_argument("--radius", type=float, default=1.0)
     p_kin.add_argument(
         "--mc-samples", type=int, default=None,
-        help="Monte Carlo oracle sample count (ball-ball only)",
+        help=f"Monte Carlo oracle sample count, {MIN_MC_SAMPLES}..{MAX_MC_SAMPLES} "
+        "(ball-ball only)",
     )
-    p_kin.add_argument("--seed", type=int, default=0)
+    p_kin.add_argument("--seed", type=int, default=0, help="Monte Carlo seed, 0..2**64-1")
     add_format(p_kin)
     p_kin.set_defaults(func=_cmd_kinematic)
 
@@ -292,6 +308,9 @@ def _build_parser() -> _Parser:
 
 
 def _validate(parser: _Parser, args) -> None:
+    for name in ("radius", "rho", "tol"):
+        if not math.isfinite(getattr(args, name, 1.0)):
+            parser.error(f"--{name} must be a finite number")
     if getattr(args, "radius", 1.0) <= 0.0:
         parser.error("--radius must be positive")
     if getattr(args, "tol", 1.0) <= 0.0:
@@ -306,10 +325,12 @@ def _validate(parser: _Parser, args) -> None:
             "(mesh memory grows as n^2, about 1 GB at the cap)"
         )
     mc = getattr(args, "mc_samples", None)
-    if mc is not None and mc < 10_000:
-        parser.error("--mc-samples must be at least 10000")
-    if getattr(args, "seed", 0) < 0:
-        parser.error("--seed must be nonnegative")
+    if mc is not None and mc < MIN_MC_SAMPLES:
+        parser.error(f"--mc-samples must be at least {MIN_MC_SAMPLES}")
+    if mc is not None and mc > MAX_MC_SAMPLES:
+        parser.error(f"--mc-samples must be at most {MAX_MC_SAMPLES}")
+    if not 0 <= getattr(args, "seed", 0) < support.SEED_LIMIT:
+        parser.error("--seed must be in 0..2**64-1")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -320,6 +341,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except QuadratureError as exc:
         print(f"computational failure: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except ArithmeticError as exc:  # overflow, underflow to 0, or a non-finite result
+        print(f"computational failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 
 

@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 __all__ = [
     "QuadResult",
     "QuadratureError",
@@ -46,15 +44,88 @@ MAX_EVALS = 10_000_000
 
 _TS_MAX_LEVELS = 12
 _HALF_PI = 0.5 * math.pi
+# Floor of the tanh-sinh error estimate, in units of eps * h * sum|terms|.
+# Each term carries a few roundings of its own (weight, abscissa, integrand)
+# and fsum adds no more, so two levels that agree bit for bit still leave
+# that much uncertainty; the oloid integrands reach about 2 of these units.
+_TS_ROUNDING_ULPS = 4.0
+_EPS = math.ulp(1.0)
 
 
-def _gauss_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return tuple(float(v) for v in x), tuple(float(v) for v in w)
-
-
-_X10, _W10 = _gauss_rule(10)
-_X21, _W21 = _gauss_rule(21)
+# Gauss-Legendre nodes and weights on [-1, 1], the shortest round-trip repr
+# of numpy.polynomial.legendre.leggauss(10) and leggauss(21).  Written out so
+# that scalar routes run without importing numpy; tests check they are
+# bit-identical to leggauss.
+_X10 = (
+    -0.9739065285171717,
+    -0.8650633666889845,
+    -0.6794095682990244,
+    -0.4333953941292472,
+    -0.14887433898163122,
+    0.14887433898163122,
+    0.4333953941292472,
+    0.6794095682990244,
+    0.8650633666889845,
+    0.9739065285171717,
+)
+_W10 = (
+    0.06667134430868814,
+    0.1494513491505804,
+    0.219086362515982,
+    0.2692667193099965,
+    0.2955242247147528,
+    0.2955242247147528,
+    0.2692667193099965,
+    0.219086362515982,
+    0.1494513491505804,
+    0.06667134430868814,
+)
+_X21 = (
+    -0.9937521706203895,
+    -0.9672268385663063,
+    -0.9200993341504008,
+    -0.8533633645833173,
+    -0.7684399634756779,
+    -0.6671388041974123,
+    -0.5516188358872198,
+    -0.4243421202074388,
+    -0.2880213168024011,
+    -0.1455618541608951,
+    0.0,
+    0.1455618541608951,
+    0.2880213168024011,
+    0.4243421202074388,
+    0.5516188358872198,
+    0.6671388041974123,
+    0.7684399634756779,
+    0.8533633645833173,
+    0.9200993341504008,
+    0.9672268385663063,
+    0.9937521706203895,
+)
+_W21 = (
+    0.01601722825777436,
+    0.03695378977085188,
+    0.05713442542685717,
+    0.07610011362837911,
+    0.09344442345603395,
+    0.1087972991671484,
+    0.12183141605372864,
+    0.13226893863333763,
+    0.1398873947910734,
+    0.14452440398997027,
+    0.1460811336496907,
+    0.14452440398997027,
+    0.1398873947910734,
+    0.13226893863333763,
+    0.12183141605372864,
+    0.1087972991671484,
+    0.09344442345603395,
+    0.07610011362837911,
+    0.05713442542685717,
+    0.03695378977085188,
+    0.01601722825777436,
+)
 _EVALS_PER_PANEL = len(_X10) + len(_X21)
 
 
@@ -162,7 +233,9 @@ def integrate_singular(
     transformed integrand decays doubly exponentially toward the endpoints,
     so the trapezoid sum converges even for ``(x - a)**(-1/2)`` behaviour.
     The step is halved per level until two consecutive levels agree to the
-    target; ``f`` is never called exactly at ``a`` or ``b``.
+    target; ``f`` is never called exactly at ``a`` or ``b``.  The error
+    estimate is never below the rounding error of the level sum, so a
+    target under that floor is reported as :class:`QuadratureError`.
     """
     _check_args(a, b, tol)
     half = 0.5 * (b - a)
@@ -214,7 +287,8 @@ def integrate_singular(
             k += 1
         s = h * math.fsum(terms)
         if prev is not None:
-            err = abs(s - prev)
+            rounding = _TS_ROUNDING_ULPS * _EPS * h * math.fsum(map(abs, terms))
+            err = max(abs(s - prev), rounding)
             if level >= 2 and err <= max(tol, tol * abs(s)):
                 return QuadResult(s, err, evals)
         prev = s

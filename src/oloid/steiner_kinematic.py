@@ -21,9 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .intrinsic import IntrinsicVolumes, mean_curvature_total, volume as oloid_volume
+from .support import SEED_LIMIT
 
 __all__ = [
     "KinematicFunctionals",
@@ -249,8 +248,10 @@ def mc_ball_ball_expectations(n: int, seed: int) -> BallBallMC:
     """
     if n < 10_000:
         raise ValueError(f"need at least 10^4 samples, got {n}")
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    import numpy as np
+
     v_sums: list[float] = []
     v_sq: list[float] = []
     s_sums: list[float] = []

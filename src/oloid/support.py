@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import quadrature as quad
 
 __all__ = [
@@ -38,6 +36,8 @@ __all__ = [
 ]
 
 _SHARD = 1 << 16
+# The Philox key is two uint64 words, (seed, shard).
+SEED_LIMIT = 1 << 64
 
 
 def support_cartesian(u) -> float:
@@ -133,12 +133,16 @@ class WidthEstimate(NamedTuple):
 
 
 def _oloid_support_values(u: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     ha = np.hypot(u[:, 0], u[:, 1]) - 0.5 * u[:, 1]
     hb = np.hypot(u[:, 1], u[:, 2]) + 0.5 * u[:, 1]
     return np.maximum(ha, hb)
 
 
 def _sphere_sample(rng: np.random.Generator, n: int) -> np.ndarray:
+    import numpy as np
+
     x = rng.standard_normal((n, 3))
     norms = np.linalg.norm(x, axis=1)
     while np.any(norms == 0.0):  # probability zero; redraw deterministically
@@ -163,8 +167,10 @@ def mean_width_montecarlo(
     """
     if n < 1000:
         raise ValueError(f"need at least 1000 samples, got {n}")
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    import numpy as np
+
     sv = support_values if support_values is not None else _oloid_support_values
     sums: list[float] = []
     sqsums: list[float] = []

@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass
 from typing import IO
 
-import numpy as np
-
 __all__ = [
     "T_MAX",
     "B11",
@@ -66,11 +64,15 @@ B12 = 0.0
 
 def circle_point_a(t: float) -> np.ndarray:
     """Unit-speed point of circle k_A: (sin t, -cos t - 1/2, 0)."""
+    import numpy as np
+
     return np.array([math.sin(t), -math.cos(t) - 0.5, 0.0])
 
 
 def circle_point_b(t: float) -> np.ndarray:
     """Unit-speed point of circle k_B: (0, cos t + 1/2, sin t)."""
+    import numpy as np
+
     return np.array([0.0, math.cos(t) + 0.5, math.sin(t)])
 
 
@@ -79,6 +81,8 @@ def surface_point(m: float, t: float, sheet: int = 1) -> np.ndarray:
 
     ``sheet`` is +1 for the z >= 0 sheet, -1 for its mirror image.
     """
+    import numpy as np
+
     if sheet not in (1, -1):
         raise ValueError(f"sheet must be +1 or -1, got {sheet!r}")
     c = math.cos(t)
@@ -137,6 +141,8 @@ def unit_normal(t: float) -> np.ndarray:
     The generators t = const are straight, so the normal is constant along
     them.  Valid for |t| < 2*pi/3.
     """
+    import numpy as np
+
     c = math.cos(t)
     ch = 2.0 * math.cos(0.5 * t)
     return np.array(
@@ -219,6 +225,8 @@ def _parameter_grid(n_t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the fold of each sheet onto circle k_B at m = 1 (where (m=1, t) and
     (m=1, -t) map to the same point) welds by exact coordinate equality.
     """
+    import numpy as np
+
     t = np.empty(n_t + 1)
     for j in range(n_t // 2 + 1):
         s = abs(2.0 * j / n_t - 1.0)
@@ -254,6 +262,8 @@ def _unwelded_sheets(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Grid point coordinates x, y, z of both sheets (z >= 0 sheet first,
     each row-major in (m, t)) and their outward-wound triangles."""
+    import numpy as np
+
     m = np.linspace(0.0, 1.0, n_m + 1)
     _, c, s = _parameter_grid(n_t)
 
@@ -292,6 +302,8 @@ def _weld(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.n
     ``np.unique(points, axis=0, return_inverse=True)``, found with one
     lexsort, an adjacent-row comparison and a running count.
     """
+    import numpy as np
+
     order = np.lexsort((z, y, x))
     pts = np.stack([x[order], y[order], z[order]], axis=1)
     new = np.empty(len(pts), dtype=bool)
@@ -304,6 +316,8 @@ def _weld(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.n
 
 def _sheet_triangles(n_m: int, n_t: int) -> np.ndarray:
     """Cell triangulation of one sheet, counterclockwise in the (m, t) plane."""
+    import numpy as np
+
     nt1 = n_t + 1
     i = np.arange(n_m)[:, None]
     j = np.arange(n_t)[None, :]
@@ -333,6 +347,8 @@ def _real_triangles(tris: np.ndarray) -> np.ndarray:
 
 
 def _directed_edges(mesh: TriMesh) -> np.ndarray:
+    import numpy as np
+
     # degenerate (repeated-index) triangles are topological no-ops
     tris = _real_triangles(mesh.triangles)
     return np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]], axis=0)
@@ -344,6 +360,8 @@ def mesh_is_closed(mesh: TriMesh) -> bool:
     Equivalently: no directed edge occurs twice, and the directed edges are
     a permutation of their reverses.
     """
+    import numpy as np
+
     tris = _real_triangles(mesh.triangles)
     nv = len(mesh.vertices)
     a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
@@ -358,6 +376,8 @@ def mesh_is_closed(mesh: TriMesh) -> bool:
 
 def euler_characteristic(mesh: TriMesh) -> int:
     """V - E + F, with degenerate (repeated-index) triangles not counted as faces."""
+    import numpy as np
+
     edges = _directed_edges(mesh)
     und = np.sort(edges, axis=1)
     n_edges = len(np.unique(und, axis=0))
@@ -370,6 +390,8 @@ def mesh_volume(mesh: TriMesh) -> float:
 
     Requires a closed, consistently oriented mesh.
     """
+    import numpy as np
+
     if not mesh_is_closed(mesh):
         raise ValueError("mesh_volume requires a closed oriented mesh")
     v = mesh.vertices[mesh.triangles]
@@ -379,6 +401,8 @@ def mesh_volume(mesh: TriMesh) -> float:
 
 def mesh_area(mesh: TriMesh) -> float:
     """Total triangle area."""
+    import numpy as np
+
     v = mesh.vertices[mesh.triangles]
     cross = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
     return float(0.5 * np.sum(np.linalg.norm(cross, axis=1)))

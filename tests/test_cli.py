@@ -1,10 +1,18 @@
+import contextlib
+import io
 import json
 import math
+import os
+import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oloid
 from oloid import cli
 
 B_REF = 2.190676966231589
@@ -246,3 +254,201 @@ def test_route_disagreement_detector():
     ]
     assert _route_disagreements(records, 1e-6)
     assert not _route_disagreements(records, 1e-3)
+
+
+def run_main(argv):
+    """In-process ``cli.main``: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import oloid.cli
+after_import = "numpy" in sys.modules
+codes = []
+for argv in (["parallel", "--rho", "0.5"],
+             ["kinematic", "--pair", "oloid-oloid"],
+             ["constants", "--tol", "1e-9"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(oloid.cli.main(argv))
+print(json.dumps({
+    "after_import": after_import,
+    "after_commands": "numpy" in sys.modules,
+    "codes": codes,
+    "layers": [m in sys.modules for m in
+               ("oloid.surface", "oloid.support", "oloid.steiner_kinematic")],
+}))
+"""
+
+
+def test_scalar_commands_do_not_import_numpy():
+    src = str(Path(oloid.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert probe["codes"] == [0, 0, 0]
+    assert probe["after_import"] is False
+    assert probe["after_commands"] is False
+    # the layers stay eagerly imported; only numpy moved into the mesh and
+    # Monte Carlo functions
+    assert probe["layers"] == [True, True, True]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parallel", "--rho", "nan"],
+        ["parallel", "--rho", "inf"],
+        ["parallel", "--radius", "inf", "--rho", "1"],
+        ["parallel", "--radius", "nan", "--rho", "1"],
+        ["constants", "--radius", "nan"],
+        ["constants", "--tol", "nan"],
+        ["constants", "--tol", "inf"],
+        ["kinematic", "--pair", "ball-ball", "--radius", "1e999"],
+    ],
+)
+def test_non_finite_input_is_usage_error(argv):
+    code, out, err = run_main(argv)
+    assert code == 64
+    assert out == ""
+    assert "must be a finite number" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants", "--radius", "1e200"],  # r**3 raises OverflowError
+        ["kinematic", "--pair", "oloid-oloid", "--radius", "1e100"],  # I_j -> inf
+        ["parallel", "--radius", "1e300", "--rho", "1e300"],
+        ["kinematic", "--pair", "ball-ball", "--radius", "1e-120"],  # I0 -> 0
+    ],
+)
+def test_out_of_range_result_is_computational_failure(argv):
+    code, out, err = run_main(argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("computational failure: ")
+    assert err.count("\n") == 1
+
+
+def test_seed_beyond_philox_key_is_usage_error():
+    proc = run_cli(
+        "kinematic", "--pair", "ball-ball", "--mc-samples", "10000",
+        "--seed", "99999999999999999999999",
+    )
+    assert proc.returncode == 64
+    assert "Traceback" not in proc.stderr
+    assert "--seed must be in 0..2**64-1" in proc.stderr
+
+
+def test_seed_range_limits_by_validation():
+    parser = cli._build_parser()
+    for seed, ok in ((2**64 - 1, True), (2**64, False), (-1, False)):
+        args = parser.parse_args(
+            ["kinematic", "--pair", "ball-ball", "--mc-samples", "10000",
+             "--seed", str(seed)]
+        )
+        if ok:
+            cli._validate(parser, args)
+        else:
+            with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+                cli._validate(parser, args)
+            assert exc.value.code == 64
+
+
+def test_mc_samples_cap_by_validation_and_documented(capsys):
+    # validation only: no sampler runs here
+    parser = cli._build_parser()
+    cap = cli.MAX_MC_SAMPLES
+    args = parser.parse_args(
+        ["kinematic", "--pair", "ball-ball", "--mc-samples", str(cap)]
+    )
+    cli._validate(parser, args)
+    args = parser.parse_args(
+        ["kinematic", "--pair", "ball-ball", "--mc-samples", str(cap + 1)]
+    )
+    with pytest.raises(SystemExit) as exc:
+        cli._validate(parser, args)
+    assert exc.value.code == 64
+    assert f"--mc-samples must be at most {cap}" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        parser.parse_args(["kinematic", "--help"])
+    assert f"{cli.MIN_MC_SAMPLES}..{cap}" in capsys.readouterr().out
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert f"--mc-samples {cli.MIN_MC_SAMPLES}..{cap}" in readme
+
+
+# -- property: every argv ends in 0, 1, 2 or 64, never a traceback ----------
+
+_NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "1e999", "-nan", "NaN"])
+_HUGE_INT = st.integers(min_value=2**63 - 2, max_value=2**80) | st.integers(
+    min_value=-(2**80), max_value=-1
+)
+
+
+def _float_text(**kw):
+    return st.floats(allow_nan=False, allow_infinity=False, **kw).map(repr)
+
+
+_ANY_FLOAT = _float_text() | _NON_FINITE | st.sampled_from(["0", "-0.0", "x", ""])
+# positive tolerances stay >= 1e-9 so every example is cheap
+_TOL = _float_text(min_value=1e-9) | _float_text(max_value=0.0) | _NON_FINITE
+_FORMAT = st.sampled_from(["text", "json", "csv", "xml"])
+# valid sample counts would run a sampler: only rejected counts are drawn
+_MC = _HUGE_INT | st.integers(min_value=-5, max_value=cli.MIN_MC_SAMPLES - 1) | st.just(
+    cli.MAX_MC_SAMPLES + 1
+)
+_SEED = _HUGE_INT | st.integers(min_value=0, max_value=2**64 - 1)
+# valid resolutions stay <= 8; larger ones are drawn only above the cap
+_RESOLUTION = st.integers(min_value=-3, max_value=8) | st.integers(
+    min_value=cli.MAX_RESOLUTION + 1, max_value=2**70
+)
+
+
+def _opt(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v}"]))
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(["constants", "parallel", "kinematic", "mesh", "bogus"]))
+    argv = [cmd]
+    if cmd == "constants":
+        argv += draw(_opt("radius", _ANY_FLOAT)) + draw(_opt("tol", _TOL))
+        argv += draw(_opt("format", _FORMAT))
+    elif cmd == "parallel":
+        argv += draw(_opt("radius", _ANY_FLOAT)) + draw(_opt("rho", _ANY_FLOAT))
+        argv += draw(_opt("format", _FORMAT))
+    elif cmd == "kinematic":
+        argv += draw(_opt("pair", st.sampled_from(["ball-ball", "oloid-ball", "oloid-oloid", "x"])))
+        argv += draw(_opt("radius", _ANY_FLOAT)) + draw(_opt("mc-samples", _MC))
+        argv += draw(_opt("seed", _SEED)) + draw(_opt("format", _FORMAT))
+    elif cmd == "mesh":
+        argv += draw(_opt("resolution", _RESOLUTION))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_any_argv_ends_in_a_documented_exit_code(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[0] == "mesh":
+            argv = argv + ["--out", os.path.join(tmp, "m.obj")]
+        code, out, err = run_main(argv)
+    assert code in (0, 1, 2, 64), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        assert out
+        assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), out
+    else:
+        assert err

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oloid import intrinsic, quadrature
 from oloid.quadrature import (
     QuadratureError,
     integrate,
@@ -176,3 +178,40 @@ def test_integrate2d_variable_limits():
 def test_integrate2d_rejects_inverted_limits():
     with pytest.raises(ValueError):
         integrate2d(lambda p, t: 1.0, (0.0, 1.0), 1.0, 0.0, 1e-10)
+
+
+@pytest.mark.parametrize(
+    "n,nodes,weights",
+    [(10, quadrature._X10, quadrature._W10), (21, quadrature._X21, quadrature._W21)],
+)
+def test_gauss_legendre_literals_match_leggauss(n, nodes, weights):
+    x, w = np.polynomial.legendre.leggauss(n)
+    # hex compares every bit, sign of zero included
+    assert [v.hex() for v in nodes] == [v.hex() for v in x.tolist()]
+    assert [v.hex() for v in weights] == [v.hex() for v in w.tolist()]
+
+
+@pytest.mark.parametrize(
+    "route,exact",
+    [
+        (intrinsic.surface_area_quadrature, 4.0 * math.pi),
+        (intrinsic.volume_quadrature, 2.0 * HALF_OLOID_VOLUME),
+        (intrinsic.curvature_integral_quadrature, 3.0 * K_SQRT3_2),
+    ],
+)
+@pytest.mark.parametrize("tol", [1e-13, 1.2e-15])
+def test_singular_err_est_covers_rounding(route, exact, tol):
+    # at these tolerances two tanh-sinh levels agree bit for bit; the
+    # estimate must still be positive, cover the true error and meet tol
+    res = route(tol)
+    assert res.err_est > 0.0
+    assert abs(res.value - exact) <= res.err_est
+    assert res.err_est <= max(tol, tol * abs(res.value))
+
+
+def test_singular_target_below_rounding_is_refused():
+    with pytest.raises(QuadratureError) as exc:
+        integrate_singular(math.exp, 0.0, 1.0, 1e-17)
+    best = exc.value.best
+    assert best.value == pytest.approx(math.e - 1.0, rel=1e-15)
+    assert best.err_est > 1e-17

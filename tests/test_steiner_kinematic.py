@@ -278,3 +278,7 @@ def test_mc_ball_ball_validates_arguments():
         sk.mc_ball_ball_expectations(100, 0)
     with pytest.raises(ValueError):
         sk.mc_ball_ball_expectations(10**4, -2)
+    # the seed is one uint64 word of the Philox key
+    assert math.isfinite(sk.mc_ball_ball_expectations(10**4, 2**64 - 1).volume)
+    with pytest.raises(ValueError):
+        sk.mc_ball_ball_expectations(10**4, 2**64)

@@ -174,6 +174,10 @@ def test_montecarlo_validates_arguments():
         sp.mean_width_montecarlo(10, 0)
     with pytest.raises(ValueError):
         sp.mean_width_montecarlo(10**4, -1)
+    # the seed is one uint64 word of the Philox key
+    assert math.isfinite(sp.mean_width_montecarlo(1000, 2**64 - 1).estimate)
+    with pytest.raises(ValueError):
+        sp.mean_width_montecarlo(1000, 2**64)
 
 
 def test_three_routes_mutually_consistent():
