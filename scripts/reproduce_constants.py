@@ -33,7 +33,7 @@ def main() -> None:
         ("edge_integral", "direct", intrinsic.edge_integral("direct", args.tol)),
         ("mean_curvature_M", "closed", intrinsic.mean_curvature_total(1.0)),
         ("mean_width", "curvature", intrinsic.mean_width(1.0)),
-        ("mean_width", "direct", support.mean_width_direct(args.tol)),
+        ("mean_width", "direct", support.mean_width_direct(args.tol).value),
     ]
     mc = support.mean_width_montecarlo(args.mc_samples, args.seed)
     rows.append(("mean_width", "montecarlo", mc.estimate))

@@ -6,11 +6,12 @@ and intersection expectations, with an optional Monte Carlo oracle for the
 ball-ball pair), ``mesh`` (triangle-mesh export with discrete volume/area).
 
 Exit codes: 0 success, 1 computational failure (including a result that
-overflows or is not finite; nothing is printed to stdout then), 2 route
-disagreement, 64 usage error (including a non-finite --radius, --rho or
---tol).  Output is deterministic for identical flags (seeds included):
-numeric printing is 17 significant digits in json/csv and 12 in text, and
-record order is fixed.
+overflows, is not finite, or scales with the radius and underflows to 0 or
+to a subnormal number, which has lost digits; nothing is printed to stdout
+then), 2 route disagreement, 64 usage error (including a non-finite
+--radius, --rho or --tol).  Output is deterministic for identical flags
+(seeds included): numeric printing is 17 significant digits in json/csv and
+12 in text, and record order is fixed.
 """
 
 from __future__ import annotations
@@ -60,8 +61,14 @@ def _fmt(value: float, digits: int = 17) -> str:
 def _emit(records: list[OutputRecord], fmt: str, out) -> None:
     for r in records:
         for number in (r.value, r.err_est):
-            if number is not None and not math.isfinite(number):
+            if number is None:
+                continue
+            if not math.isfinite(number):
                 raise ArithmeticError(f"{r.quantity} ({r.route}) is {number}, not finite")
+            # every number that scales with r is positive, so 0 or a subnormal
+            # means it underflowed and its printed digits are lost
+            if r.units_power_of_r != 0 and abs(number) < sys.float_info.min:
+                raise ArithmeticError(f"{r.quantity} ({r.route}) underflows: {number!r}")
     if fmt == "json":
         lines = ["["]
         for idx, r in enumerate(records):
@@ -153,7 +160,9 @@ def _cmd_constants(args) -> int:
             1,
         ),
         OutputRecord("mean_width", "curvature", intrinsic.mean_width(r), None, 1),
-        OutputRecord("mean_width", "direct", direct_width * r, tol * r, 1),
+        OutputRecord(
+            "mean_width", "direct", direct_width.value * r, direct_width.err_est * r, 1
+        ),
         OutputRecord("coxeter_I", "quadrature", cox.value, cox.err_est, 0),
         OutputRecord(
             "edge_integral", "reduced", intrinsic.edge_integral("reduced") * r, None, 1

@@ -12,6 +12,9 @@ Three entry points:
   ``f(x) ~ (b - x)**(-1/2)`` style integrands keep full accuracy.
 * :func:`integrate2d` -- iterated integration (inner theta, outer phi) over
   a phi-dependent theta range, with the tolerance split between the levels.
+  Nothing in the package calls it: the direct mean width does its inner
+  integrals in closed form.  Each inner call has its own evaluation budget,
+  so the total work of a call is not bounded by ``MAX_EVALS``.
 
 All routines target the mixed tolerance ``max(tol, tol * |I|)``: the
 constants computed in this project span two orders of magnitude, so a

@@ -103,7 +103,7 @@ def test_criterion_4_total_mean_curvature():
 def test_criterion_5_mean_width_three_routes():
     start = time.perf_counter()
     curvature = intrinsic.mean_width(1.0)
-    direct = support.mean_width_direct(1e-9)
+    direct = support.mean_width_direct(1e-9).value
     mc = support.mean_width_montecarlo(10**6, 7)
     elapsed = time.perf_counter() - start
     ok = (

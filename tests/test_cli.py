@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -83,6 +84,21 @@ def test_constants_route_agreement_at_tight_tolerance():
                 assert abs(values[i] - values[j]) <= 1e-9 * max(
                     1.0, abs(values[i])
                 ), name
+
+
+def test_constants_at_tol_1e_15_converges():
+    # the direct mean width used to run for minutes here (nested 2-D quadrature)
+    code, out, err = run_main(["constants", "--tol", "1e-15", "--format", "csv"])
+    assert code == 0, err
+    rows = {(r["quantity"], r["route"]): r for r in csv.DictReader(io.StringIO(out))}
+    direct = float(rows["mean_width", "direct"]["value"])
+    curvature = float(rows["mean_width", "curvature"]["value"])
+    assert direct == pytest.approx(B_REF, rel=1e-15, abs=0.0)
+    assert abs(direct - curvature) <= 10 * 1e-15 * B_REF
+    # the route's own error estimate, not the requested tolerance
+    assert float(rows["mean_width", "direct"]["err_est"]) == (
+        oloid.support.mean_width_direct(1e-15).err_est
+    )
 
 
 def test_constants_byte_identical_runs():
@@ -331,6 +347,9 @@ def test_non_finite_input_is_usage_error(argv):
         ["kinematic", "--pair", "oloid-oloid", "--radius", "1e100"],  # I_j -> inf
         ["parallel", "--radius", "1e300", "--rho", "1e300"],
         ["kinematic", "--pair", "ball-ball", "--radius", "1e-120"],  # I0 -> 0
+        ["constants", "--radius", "1e-200"],  # r**2 and r**3 underflow to 0
+        ["parallel", "--radius", "1e-320", "--rho", "0"],  # S, V -> 0, M subnormal
+        ["constants", "--radius", "1e-103"],  # V3 = 3.05e-309 is subnormal
     ],
 )
 def test_out_of_range_result_is_computational_failure(argv):

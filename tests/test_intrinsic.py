@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -90,7 +92,7 @@ def test_mean_width():
 
 
 def test_mean_width_agrees_with_direct_route():
-    assert abs(support.mean_width_direct(1e-9) - intrinsic.mean_width(1.0)) <= 1e-8
+    assert abs(support.mean_width_direct(1e-9).value - intrinsic.mean_width(1.0)) <= 1e-8
 
 
 def test_intrinsic_volume_vector():
@@ -156,3 +158,54 @@ def test_appendix_identity():
     assert 1.0 / math.sqrt(1.0 - 0.75 * math.sin(0.0) ** 2) == 1.0
     with pytest.raises(ValueError):
         intrinsic.appendix_identity_check(0.0)
+
+
+def test_reference_constants_against_mpmath():
+    """40-digit oracle for V_REF, I_REF, M_REF and B_REF, independent of the
+    package's AGM and double-precision quadrature.  B is computed twice: as
+    M / (2 pi), and from the direct route's two 1-D integrands (switching
+    angle xi on [pi/4, pi/2], phi on [pi/6, pi/2]) in 50-digit arithmetic,
+    which checks that reduction without rounding noise."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        k = mp.ellipk(mp.mpf(3) / 4)  # mpmath takes the parameter m = k^2
+        e = mp.ellipe(mp.mpf(3) / 4)
+        v = 2 * (k + 2 * e) / 3
+        i = mp.quad(lambda t: mp.acos(mp.cos(t) / (1 + mp.cos(t))), [0, mp.pi / 2])
+        m = 3 * k + 3 * mp.pi**2 / 2 - 4 * i
+        b_curvature = m / (2 * mp.pi)
+
+        def sin2(lo, hi):
+            return (hi - lo) / 2 - (mp.sin(2 * hi) - mp.sin(2 * lo)) / 4
+
+        def root(s, c, x):  # int_0^x sqrt(s^2 + c^2 t^2) dt
+            return (
+                x * mp.sqrt(s * s + c * c * x * x) / 2
+                + s * s / (2 * c) * mp.asinh(c * x / s)
+            )
+
+        def inner_b(s, c, lo, hi):
+            return s / 2 * sin2(lo, hi) + root(s, c, mp.cos(lo)) - root(s, c, mp.cos(hi))
+
+        def switching(xi):
+            s = 1 - 1 / (2 * mp.sin(xi) ** 2)
+            c = mp.sqrt(1 - s * s)
+            inner = inner_b(s, c, 0, xi) + (1 - s / 2) * sin2(xi, mp.pi / 2)
+            return inner * mp.cos(xi) / (mp.sin(xi) ** 3 * c)
+
+        def b_only(phi):
+            return inner_b(mp.sin(phi), mp.cos(phi), 0, mp.pi / 2)
+
+        b_direct = 4 / mp.pi * (
+            mp.quad(switching, [mp.pi / 4, mp.pi / 2])
+            + mp.quad(b_only, [mp.pi / 6, mp.pi / 2])
+        )
+        assert abs(b_direct - b_curvature) <= mp.mpf(10) ** -40
+
+        source = Path(__file__).read_text()
+        for name, value in (("V_REF", v), ("I_REF", i), ("M_REF", m), ("B_REF", b_direct)):
+            assert globals()[name] == float(value), name
+            # the literal is rounded correctly in its last printed decimal
+            literal = re.search(rf"^{name} = ([0-9.]+)$", source, re.M).group(1)
+            decimals = len(literal.split(".")[1])
+            assert abs(mp.mpf(literal) - value) <= mp.mpf(10) ** -decimals / 2, name

@@ -1,15 +1,23 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oloid import quadrature as quad
 from oloid import support as sp
 from oloid import intrinsic
 
 import oracles
 
 B_REF = 2.19067696623158876633263049436
+B_EXACT = Fraction("2.19067696623158876633263049436")
+# the benchmark's constants ladder (bench/workloads.py CONSTANTS_TOLS)
+LADDER = (
+    1e-9, 5e-10, 2e-10, 1e-10, 5e-11, 2e-11, 1e-11, 5e-12, 2e-12,
+    1e-12, 5e-13, 2e-13, 1e-13, 5e-14, 2e-14, 1e-14, 1.2e-15,
+)
 RNG = np.random.default_rng(7)
 
 
@@ -134,18 +142,68 @@ def test_piecewise_max_consistency():
 
 
 def test_mean_width_direct_value():
-    b = sp.mean_width_direct(1e-9)
+    b = sp.mean_width_direct(1e-9).value
     assert b == pytest.approx(2.19067696623, abs=1e-9)  # 11 printed digits
     assert b == pytest.approx(B_REF, abs=1e-9)
 
 
 def test_mean_width_direct_agrees_with_curvature_route():
-    assert abs(sp.mean_width_direct(1e-9) - intrinsic.mean_width(1.0)) <= 1e-8
+    assert abs(sp.mean_width_direct(1e-9).value - intrinsic.mean_width(1.0)) <= 1e-8
 
 
 def test_mean_width_direct_rejects_bad_tol():
     with pytest.raises(ValueError):
         sp.mean_width_direct(0.0)
+
+
+@pytest.mark.parametrize("tol", LADDER)
+def test_mean_width_direct_accuracy_and_err_est(tol):
+    res = sp.mean_width_direct(tol)
+    true_err = abs(Fraction(res.value) - B_EXACT)
+    assert true_err <= Fraction(1e-14) * B_EXACT
+    assert Fraction(res.err_est) >= true_err
+    assert res.err_est <= max(tol, tol * B_REF)
+    assert 0 < res.evals < 1000
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [1e-9, 0.3, math.pi / 6 - 1e-9, math.pi / 6 + 1e-9, 1.2, math.pi / 2 - 1e-9],
+)
+def test_inner_closed_forms_match_quadrature(phi):
+    s, c = math.sin(phi), math.cos(phi)
+
+    def a_integrand(theta):
+        return sp.support_from_circle_a(phi, theta) * math.sin(theta)
+
+    def b_integrand(theta):
+        return sp.support_from_circle_b(phi, theta) * math.sin(theta)
+
+    half_pi = math.pi / 2
+    xi = sp.switching_angle(phi) if phi <= math.pi / 6 else half_pi
+    cases = [
+        (sp._branch_b_integral(s, c, 0.0, half_pi), b_integrand, 0.0, half_pi),
+        (sp._branch_a_integral(s, 0.0, half_pi), a_integrand, 0.0, half_pi),
+    ]
+    if xi < half_pi:  # the split used on [0, pi/6]
+        cases += [
+            (sp._branch_b_integral(s, c, 0.0, xi), b_integrand, 0.0, xi),
+            (sp._branch_a_integral(s, xi, half_pi), a_integrand, xi, half_pi),
+        ]
+    for closed, f, lo, hi in cases:
+        ref = quad.integrate(f, lo, hi, 1e-15).value
+        assert closed == pytest.approx(ref, rel=1e-14, abs=1e-15), (lo, hi)
+
+
+def test_branch_b_integral_at_the_pole():
+    # phi = pi/2: h_B = sin(theta)/2 + 1, so the integral is pi/8 + 1; the
+    # asinh term is s^2 asinh(c/s)/(2c), a 0/0 at c = 0 that the series avoids
+    assert sp._branch_b_integral(1.0, 0.0, 0.0, math.pi / 2) == pytest.approx(
+        math.pi / 8 + 1.0, rel=1e-15, abs=0.0
+    )
+    for t in (0.0, 1e-12, 0.5e-2, 0.999999e-2, 1e-2, 0.3):
+        expected = 1.0 if t == 0.0 else math.asinh(t) / t
+        assert sp._asinh_ratio(t) == pytest.approx(expected, rel=2e-16, abs=0.0)
 
 
 def test_montecarlo_within_three_sigma():
@@ -182,7 +240,7 @@ def test_montecarlo_validates_arguments():
 
 def test_three_routes_mutually_consistent():
     curvature = intrinsic.mean_width(1.0)
-    direct = sp.mean_width_direct(1e-9)
+    direct = sp.mean_width_direct(1e-9).value
     mc = sp.mean_width_montecarlo(10**6, 7)
     assert abs(direct - curvature) <= 1e-8
     assert abs(mc.estimate - curvature) <= 3.0 * mc.std_error
