@@ -33,8 +33,10 @@ EXIT_USAGE = 64
 
 # Mesh memory grows as n^2: about 1 GB at n = 1024.
 MAX_RESOLUTION = 1024
-# Monte Carlo memory is bounded by the shard size and time is linear in the
-# sample count: the ball-ball oracle takes about 16 s at the cap (2-core VM).
+# Monte Carlo memory is bounded by the shard size times the sampler threads
+# (at most 8, each holding one 2^16-sample shard of a few MB), and time is
+# linear in the sample count: the ball-ball oracle takes about 11 s at the
+# cap on a 2-core VM (2 threads), with a peak RSS of 42 MB.
 MIN_MC_SAMPLES = 10_000
 MAX_MC_SAMPLES = 1_000_000_000
 

@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 _SHARD = 1 << 16
+# Monte Carlo shards run on at most this many threads, whatever the core
+# count: it bounds thread count and memory (one shard's arrays per thread).
+_MAX_THREADS = 8
 # The Philox key is two uint64 words, (seed, shard).
 SEED_LIMIT = 1 << 64
 
@@ -201,24 +204,120 @@ class WidthEstimate(NamedTuple):
     std_error: float
 
 
-def _oloid_support_values(u: np.ndarray) -> np.ndarray:
+def _philox_shards(n: int, seed: int, kernel: Callable) -> list:
+    """``kernel(rng, count)`` for every shard of ``n`` samples, in shard order.
+
+    Shard i covers samples [i * _SHARD, (i + 1) * _SHARD) and draws from a
+    Philox generator keyed by (seed, i), so its result depends on nothing
+    else.  The shards run on min(cores, shards, _MAX_THREADS) threads, the
+    calling thread being one of them; they overlap where numpy releases the
+    GIL (Philox fills, elementwise arithmetic, reductions).  The first
+    exception raised in any thread, KeyboardInterrupt included, stops every
+    thread at its next shard boundary and is re-raised here once all have
+    ended.
+    """
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    import os
+    import threading
+
     import numpy as np
 
-    ha = np.hypot(u[:, 0], u[:, 1]) - 0.5 * u[:, 1]
-    hb = np.hypot(u[:, 1], u[:, 2]) + 0.5 * u[:, 1]
-    return np.maximum(ha, hb)
+    n_shards = -(-n // _SHARD)
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    results: list = [None] * n_shards
+    errors: list[BaseException] = []
+    unclaimed = iter(range(n_shards))
+    lock = threading.Lock()
+    halt = threading.Event()
+
+    def work() -> None:
+        try:
+            while not halt.is_set():
+                with lock:
+                    shard = next(unclaimed, None)
+                if shard is None:
+                    return
+                key = np.array([seed, shard], dtype=np.uint64)
+                rng = np.random.Generator(np.random.Philox(key=key))
+                results[shard] = kernel(rng, min(_SHARD, n - shard * _SHARD))
+        except BaseException as exc:  # re-raised below, in the calling thread
+            errors.append(exc)
+            halt.set()
+
+    threads = []
+    try:
+        for _ in range(min(cores, n_shards, _MAX_THREADS) - 1):
+            thread = threading.Thread(target=work, daemon=True)
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        halt.set()
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
-def _sphere_sample(rng: np.random.Generator, n: int) -> np.ndarray:
+def _mean_se(n: int, sums, sqsums) -> tuple[float, float]:
+    """Mean and standard error of n samples from per-shard sums and sums of squares."""
+    total = math.fsum(sums)
+    var = max(math.fsum(sqsums) - total * total / n, 0.0) / (n - 1)
+    return total / n, math.sqrt(var / n)
+
+
+def _row_norms(x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """Euclidean norms of the rows of an (n, 3) array, bit for bit as
+    ``np.linalg.norm(x, axis=1)``: sqrt((x0^2 + x1^2) + x2^2)."""
     import numpy as np
 
-    x = rng.standard_normal((n, 3))
-    norms = np.linalg.norm(x, axis=1)
-    while np.any(norms == 0.0):  # probability zero; redraw deterministically
+    np.multiply(x[:, 0], x[:, 0], out=out)
+    for j in (1, 2):
+        np.multiply(x[:, j], x[:, j], out=tmp)
+        np.add(out, tmp, out=out)
+    np.sqrt(out, out=out)
+
+
+def _width_shard(rng: np.random.Generator, count: int, support_values=None):
+    """(sum of w, sum of w^2) over ``count`` uniform directions u, w = h(u) + h(-u).
+
+    Directions are normalized 3-component Gaussians; a zero row (probability
+    zero) is redrawn.  For the oloid, with A = hypot(u_x, u_y),
+    B = hypot(u_y, u_z) and t = u_y/2,
+
+        h(u) = max(A - t, B + t),   h(-u) = max(A + t, B - t),
+
+    since hypot is even in each argument and negating u_y negates t
+    exactly: two hypot calls instead of four, with the same bits.  The
+    sample array's columns serve as temporaries.
+    """
+    import numpy as np
+
+    x = rng.standard_normal((count, 3))
+    norms = np.empty(count)
+    tmp = np.empty(count)
+    _row_norms(x, norms, tmp)
+    while not norms.all():  # probability zero; redraw deterministically
         bad = norms == 0.0
         x[bad] = rng.standard_normal((int(np.count_nonzero(bad)), 3))
-        norms = np.linalg.norm(x, axis=1)
-    return x / norms[:, None]
+        _row_norms(x, norms, tmp)
+    u = np.divide(x, norms[:, None], out=x)
+    if support_values is not None:
+        w = support_values(u) + support_values(-u)
+    else:
+        ux, uy, uz = u.T
+        a = np.hypot(ux, uy, out=tmp)
+        b = np.hypot(uy, uz, out=norms)
+        t = np.multiply(uy, 0.5, out=uy)
+        h_plus = np.maximum(np.subtract(a, t, out=ux), np.add(b, t, out=uz), out=ux)
+        h_minus = np.maximum(np.add(a, t, out=uz), np.subtract(b, t, out=b), out=b)
+        w = np.add(h_plus, h_minus, out=b)
+    return float(np.sum(w)), float(np.sum(np.multiply(w, w, out=tmp)))
 
 
 def mean_width_montecarlo(
@@ -229,31 +328,17 @@ def mean_width_montecarlo(
     """Monte Carlo mean width: average of h(u) + h(-u) over uniform directions.
 
     Directions are normalized 3-component Gaussians.  Sampling uses a
-    counter-based generator keyed by (seed, shard), the shards are reduced
-    in fixed order, so results are deterministic for a given seed and would
-    stay so under parallel shard evaluation.  ``support_values`` replaces
-    the oloid support (vectorized over an (n, 3) array); used by oracles.
+    counter-based generator keyed by (seed, shard), and the shards are
+    reduced in shard order, so results are deterministic for a given seed.
+    The shards run on up to min(cores, 8) threads; every bit of the result
+    is independent of the thread count and the scheduling.
+    ``support_values`` replaces the oloid support (vectorized over an
+    (n, 3) array; used by oracles); it is called from the worker threads,
+    several at a time, so it must be thread-safe.
     """
     if n < 1000:
         raise ValueError(f"need at least 1000 samples, got {n}")
-    if not 0 <= seed < SEED_LIMIT:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    import numpy as np
-
-    sv = support_values if support_values is not None else _oloid_support_values
-    sums: list[float] = []
-    sqsums: list[float] = []
-    for shard, start in enumerate(range(0, n, _SHARD)):
-        count = min(_SHARD, n - start)
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed, shard], dtype=np.uint64))
-        )
-        u = _sphere_sample(rng, count)
-        w = sv(u) + sv(-u)
-        sums.append(float(np.sum(w)))
-        sqsums.append(float(np.sum(w * w)))
-    total = math.fsum(sums)
-    total_sq = math.fsum(sqsums)
-    mean = total / n
-    var = max(total_sq - total * total / n, 0.0) / (n - 1)
-    return WidthEstimate(estimate=mean, std_error=math.sqrt(var / n))
+    sums, sqsums = zip(
+        *_philox_shards(n, seed, lambda rng, count: _width_shard(rng, count, support_values))
+    )
+    return WidthEstimate(*_mean_se(n, sums, sqsums))

@@ -1,6 +1,7 @@
 """Shared independent oracles: brute-force quadrature, finite differences,
-cached meshes, and the straightforward mesh weld, closure check and OBJ
-writer that the library's vectorized versions must reproduce exactly.
+cached meshes, the straightforward mesh weld, closure check and OBJ writer,
+and the plain Monte Carlo width shard, which the library's vectorized and
+in-place versions must reproduce exactly.
 These deliberately avoid the library's own integration code paths."""
 
 import math
@@ -87,3 +88,28 @@ def obj_text(mesh):
     lines = [f"v {vx:.16e} {vy:.16e} {vz:.16e}\n" for vx, vy, vz in mesh.vertices]
     lines += [f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in mesh.triangles]
     return "".join(lines)
+
+
+def sphere_sample(rng, n):
+    """n uniform directions: normalized Gaussians, zero rows redrawn."""
+    x = rng.standard_normal((n, 3))
+    norms = np.linalg.norm(x, axis=1)
+    while np.any(norms == 0.0):
+        bad = norms == 0.0
+        x[bad] = rng.standard_normal((int(np.count_nonzero(bad)), 3))
+        norms = np.linalg.norm(x, axis=1)
+    return x / norms[:, None]
+
+
+def oloid_support_values(u):
+    """Oloid support function of each row of u, from both circles' formulas."""
+    ha = np.hypot(u[:, 0], u[:, 1]) - 0.5 * u[:, 1]
+    hb = np.hypot(u[:, 1], u[:, 2]) + 0.5 * u[:, 1]
+    return np.maximum(ha, hb)
+
+
+def width_shard(rng, count):
+    """(sum of w, sum of w^2), w = h(u) + h(-u), with four hypot calls per row."""
+    u = sphere_sample(rng, count)
+    w = oloid_support_values(u) + oloid_support_values(-u)
+    return float(np.sum(w)), float(np.sum(w * w))

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -282,3 +283,80 @@ def test_mc_ball_ball_validates_arguments():
     assert math.isfinite(sk.mc_ball_ball_expectations(10**4, 2**64 - 1).volume)
     with pytest.raises(ValueError):
         sk.mc_ball_ball_expectations(10**4, 2**64)
+
+
+# float.hex of (volume, surface, volume_std_error, surface_std_error) at
+# (n, seed), captured from the sampler when it ran its shards one after
+# another on one thread: the minimum n, n below one shard, a multiple of the
+# shard size, a partial last shard, and many shards
+BALL_BALL_BITS = {
+    (10000, 0): (
+        "0x1.0cb6fc871c022p-1", "0x1.938dfc1a91b0dp+1",
+        "0x1.acf7c96f9e232p-8", "0x1.8ceba4f9955b0p-6",
+    ),
+    (50000, 0): (
+        "0x1.0ad3614bec50ap-1", "0x1.91773ccd7e95fp+1",
+        "0x1.806e6beaee322p-9", "0x1.62ef18681be40p-7",
+    ),
+    (2 * 2**16, 0): (
+        "0x1.0c09fd5596d58p-1", "0x1.9277dc388ce86p+1",
+        "0x1.dccabcdc26f7ap-10", "0x1.b78c026f451eap-8",
+    ),
+    (3 * 2**16 + 17, 0): (
+        "0x1.0c30a26469e7fp-1", "0x1.9258cfb7d8535p+1",
+        "0x1.865685a9498ecp-10", "0x1.6780a7979614bp-8",
+    ),
+    (3000000, 0): (
+        "0x1.0c2ef29a3b793p-1", "0x1.9240847971f8dp+1",
+        "0x1.90016f4cbe3cdp-12", "0x1.705410decbe75p-10",
+    ),
+    (10000, 7): (
+        "0x1.0ed8187b68397p-1", "0x1.953343e617164p+1",
+        "0x1.b11870245f49bp-8", "0x1.8f044f718416cp-6",
+    ),
+    (50000, 7): (
+        "0x1.0dd0ab53c566bp-1", "0x1.93aff98b086f9p+1",
+        "0x1.8466ba21c3779p-9", "0x1.6588796c45b38p-7",
+    ),
+    (2 * 2**16, 7): (
+        "0x1.0cf2309ca3ee5p-1", "0x1.92950d6cba761p+1",
+        "0x1.e06c6aed55fe6p-10", "0x1.b9eac5286ec88p-8",
+    ),
+    (3 * 2**16 + 17, 7): (
+        "0x1.0cd21530abbfdp-1", "0x1.929226545ee4ep+1",
+        "0x1.8789c0997a970p-10", "0x1.687c108ed85d6p-8",
+    ),
+    (3000000, 7): (
+        "0x1.0c040cf21913cp-1", "0x1.92229d16be4d0p+1",
+        "0x1.8f861502a56fdp-12", "0x1.701fb8f80311ap-10",
+    ),
+    (10000, 2**64 - 1): (
+        "0x1.099cbbb223302p-1", "0x1.911066895e613p+1",
+        "0x1.a94d1dcf63c38p-8", "0x1.8a5f8c0dac41cp-6",
+    ),
+    (50000, 2**64 - 1): (
+        "0x1.0bfb9a786e6d5p-1", "0x1.92280486603b8p+1",
+        "0x1.825c96e582b18p-9", "0x1.644357258e7eap-7",
+    ),
+    (2 * 2**16, 2**64 - 1): (
+        "0x1.0b9e4cf68d837p-1", "0x1.91ffc6c9daf80p+1",
+        "0x1.dcf13035c9953p-10", "0x1.b78762f7fc19dp-8",
+    ),
+    (3 * 2**16 + 17, 2**64 - 1): (
+        "0x1.0c5a75a316871p-1", "0x1.92938412a3198p+1",
+        "0x1.86698c0fbb4c3p-10", "0x1.677504137905dp-8",
+    ),
+    (3000000, 2**64 - 1): (
+        "0x1.0c3970ce8e623p-1", "0x1.9238a91ba0034p+1",
+        "0x1.8fefcd11b42d5p-12", "0x1.707045990ac42p-10",
+    ),
+}
+
+
+@pytest.mark.parametrize("cores", (1, 2, 3))
+def test_mc_ball_ball_bits_independent_of_thread_count(monkeypatch, cores):
+    # the shard reducer sizes its thread pool from the usable cores
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    for (n, seed), bits in BALL_BALL_BITS.items():
+        mc = sk.mc_ball_ball_expectations(n, seed)
+        assert tuple(x.hex() for x in mc) == bits, (n, seed)

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -244,3 +247,165 @@ def test_three_routes_mutually_consistent():
     mc = sp.mean_width_montecarlo(10**6, 7)
     assert abs(direct - curvature) <= 1e-8
     assert abs(mc.estimate - curvature) <= 3.0 * mc.std_error
+
+
+# --- Monte Carlo shards and their threads -------------------------------------
+
+# float.hex of (estimate, std_error) at (n, seed), captured from the sampler
+# when it ran its shards one after another on one thread: the minimum n, n
+# below one shard, a multiple of the shard size, a partial last shard, and
+# many shards
+WIDTH_BITS = {
+    (1000, 0): ("0x1.187424e11a291p+1", "0x1.926273bcf3356p-7"),
+    (50000, 0): ("0x1.1881753dc4f3ep+1", "0x1.c89de7db3ec22p-10"),
+    (2 * 2**16, 0): ("0x1.186ceafedb74cp+1", "0x1.1a7d33db91abbp-10"),
+    (3 * 2**16 + 17, 0): ("0x1.186aa55ec6049p+1", "0x1.cc93544dc7b2dp-11"),
+    (3000000, 0): ("0x1.186704e04b387p+1", "0x1.d79898c1b394ep-13"),
+    (1000, 7): ("0x1.16e54907d64c9p+1", "0x1.8d31c3edb4d7bp-7"),
+    (50000, 7): ("0x1.183a07a3745fep+1", "0x1.c81e4bb8abe6ap-10"),
+    (2 * 2**16, 7): ("0x1.18697163733edp+1", "0x1.1a424a0c035d6p-10"),
+    (3 * 2**16 + 17, 7): ("0x1.18654cc317178p+1", "0x1.cc8ea82068cfbp-11"),
+    (3000000, 7): ("0x1.186d5bed41bdap+1", "0x1.d7c00c394b38ep-13"),
+    (1000, 2**64 - 1): ("0x1.1b11a8f6e1a65p+1", "0x1.956b0b8b75996p-7"),
+    (50000, 2**64 - 1): ("0x1.189b885168bc5p+1", "0x1.c7fd109058382p-10"),
+    (2 * 2**16, 2**64 - 1): ("0x1.18a36afe36807p+1", "0x1.19a9cc8b69c26p-10"),
+    (3 * 2**16 + 17, 2**64 - 1): ("0x1.18804278afcbep+1", "0x1.cbf38221d8b3dp-11"),
+    (3000000, 2**64 - 1): ("0x1.1867222f1262dp+1", "0x1.d79e6c23ba069p-13"),
+}
+
+
+def force_cores(monkeypatch, k):
+    """Make the shard reducer see k usable cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+
+def _philox(key):
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+
+
+@pytest.mark.parametrize("cores", (1, 2, 3))
+def test_montecarlo_bits_independent_of_thread_count(monkeypatch, cores):
+    force_cores(monkeypatch, cores)
+    for (n, seed), bits in WIDTH_BITS.items():
+        est = sp.mean_width_montecarlo(n, seed)
+        assert tuple(x.hex() for x in est) == bits, (n, seed)
+    # the plain support function through the caller's support_values path
+    n, seed = 3 * 2**16 + 17, 7
+    est = sp.mean_width_montecarlo(n, seed, support_values=oracles.oloid_support_values)
+    assert tuple(x.hex() for x in est) == WIDTH_BITS[n, seed]
+
+
+@pytest.mark.parametrize("count", (1000, 2**16 - 1, 2**16))
+def test_width_shard_matches_plain_oracle(count):
+    for key in ([0, 0], [7, 3], [2**64 - 1, 45]):
+        assert sp._width_shard(_philox(key), count) == oracles.width_shard(
+            _philox(key), count
+        )
+
+
+class _ZeroRows:
+    """Philox generator whose first ``batches`` standard_normal draws have
+    the given rows (those that exist) set to zero."""
+
+    def __init__(self, key, rows, batches):
+        self.rng = _philox(key)
+        self.rows = rows
+        self.batches = batches
+        self.draws = 0
+
+    def standard_normal(self, shape):
+        x = self.rng.standard_normal(shape)
+        if self.draws < self.batches:
+            x[[r for r in self.rows if r < len(x)]] = 0.0
+        self.draws += 1
+        return x
+
+
+@pytest.mark.parametrize("batches", (1, 2))
+def test_width_shard_redraws_zero_rows(batches):
+    rows = (0, 17, 999)
+    stub = _ZeroRows([3, 1], rows, batches)
+    got = sp._width_shard(stub, 1000)
+    assert stub.draws == batches + 1
+    assert all(math.isfinite(x) for x in got)
+    assert got == oracles.width_shard(_ZeroRows([3, 1], rows, batches), 1000)
+
+
+def test_montecarlo_failure_stops_every_thread(monkeypatch, capfd):
+    force_cores(monkeypatch, 3)
+    lock = threading.Lock()
+    calls = []
+
+    def failing(u):
+        with lock:
+            calls.append(threading.get_ident())
+            if len(calls) == 3:
+                raise ArithmeticError("third call")
+        return oracles.oloid_support_values(u)
+
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="third call"):
+        sp.mean_width_montecarlo(100 * 2**16, 1, support_values=failing)
+    assert threading.active_count() == before
+    # the other threads stop at their next shard boundary: 200 calls otherwise
+    assert len(calls) < 40
+    assert "Exception in thread" not in capfd.readouterr().err
+
+
+def test_montecarlo_keyboard_interrupt_stops_every_thread(monkeypatch, capfd):
+    force_cores(monkeypatch, 3)
+    calls = []
+
+    def interrupted(u):
+        calls.append(threading.get_ident())
+        if threading.current_thread() is threading.main_thread():
+            raise KeyboardInterrupt
+        return oracles.oloid_support_values(u)
+
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        sp.mean_width_montecarlo(100 * 2**16, 1, support_values=interrupted)
+    assert threading.active_count() == before
+    assert len(calls) < 40
+    assert "Exception in thread" not in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("cores, threads", ((1, 1), (2, 2), (3, 3), (64, 8)))
+def test_montecarlo_thread_count(monkeypatch, cores, threads):
+    force_cores(monkeypatch, cores)
+    seen = set()
+    alive = []
+
+    def recording(u):
+        seen.add(threading.get_ident())
+        alive.append(threading.active_count())
+        return oracles.oloid_support_values(u)
+
+    before = threading.active_count()
+    sp.mean_width_montecarlo(20 * 2**16, 1, support_values=recording)
+    assert len(seen) <= threads
+    assert max(alive) == before + threads - 1
+    assert threading.active_count() == before
+
+
+def test_shard_reducer_runs_every_shard_once(monkeypatch):
+    # 8 threads, whatever the core count, switching as often as possible: a
+    # shard claimed twice or never shows in the results or in the run log
+    force_cores(monkeypatch, 64)
+    lock = threading.Lock()
+    ran = []
+
+    def kernel(rng, count):
+        shard = int(rng.bit_generator.state["state"]["key"][1])
+        with lock:
+            ran.append(shard)
+        return shard, count
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = sp._philox_shards(300 * 2**16 + 5, 9, kernel)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [(i, 2**16) for i in range(300)] + [(300, 5)]
+    assert sorted(ran) == list(range(301))
