@@ -254,7 +254,10 @@ def build_mesh(n_m: int, n_t: int) -> TriMesh:
         raise ValueError(f"need n_m >= 1 and n_t >= 2, got ({n_m}, {n_t})")
     x, y, z, tris = _unwelded_sheets(n_m, n_t)
     vertices, inverse = _weld(x, y, z)
-    return TriMesh(vertices=vertices, triangles=inverse[tris], n_m=n_m, n_t=n_t)
+    for start in range(0, len(tris), _TRIANGLE_BLOCK):  # renumber in place
+        block = tris[start : start + _TRIANGLE_BLOCK]
+        block[...] = inverse[block]
+    return TriMesh(vertices=vertices, triangles=tris, n_m=n_m, n_t=n_t)
 
 
 def _unwelded_sheets(
@@ -285,12 +288,12 @@ def _unwelded_sheets(
     zmag = zmag.ravel()
     z = np.concatenate([zmag + 0.0, -zmag + 0.0])
 
-    off = (n_m + 1) * (n_t + 1)
     plus = _sheet_triangles(n_m, n_t)
-    minus = off + plus
+    tris = np.empty((2 * len(plus), 3), dtype=np.int64)
     # w_m x w_t points into the body, so the (m, t)-counterclockwise split is
     # outward on the mirrored sheet and must be reversed on the z >= 0 sheet
-    tris = np.concatenate([plus[:, ::-1], minus], axis=0)
+    tris[: len(plus)] = plus[:, ::-1]
+    np.add(plus, (n_m + 1) * (n_t + 1), out=tris[len(plus) :])
     return x, y, z, tris
 
 
@@ -305,7 +308,9 @@ def _weld(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.n
     import numpy as np
 
     order = np.lexsort((z, y, x))
-    pts = np.stack([x[order], y[order], z[order]], axis=1)
+    pts = np.empty((len(order), 3))
+    for k, coord in enumerate((x, y, z)):
+        pts[:, k] = coord[order]
     new = np.empty(len(pts), dtype=bool)
     new[0] = True
     np.any(pts[1:] != pts[:-1], axis=1, out=new[1:])
@@ -319,14 +324,12 @@ def _sheet_triangles(n_m: int, n_t: int) -> np.ndarray:
     import numpy as np
 
     nt1 = n_t + 1
-    i = np.arange(n_m)[:, None]
-    j = np.arange(n_t)[None, :]
-    v00 = (i * nt1 + j).ravel()
-    v10 = ((i + 1) * nt1 + j).ravel()
-    v01 = (i * nt1 + j + 1).ravel()
-    v11 = ((i + 1) * nt1 + j + 1).ravel()
-    t1 = np.stack([v00, v10, v11], axis=1)
-    t2 = np.stack([v00, v11, v01], axis=1)
+    v00 = (np.arange(n_m)[:, None] * nt1 + np.arange(n_t)).ravel()
+    v10, v01, v11 = v00 + nt1, v00 + 1, v00 + nt1 + 1
+    tris = np.empty((2 * len(v00), 3), dtype=np.int64)
+    t1, t2 = tris[: len(v00)], tris[len(v00) :]
+    t1[:, 0], t1[:, 1], t1[:, 2] = v00, v10, v11
+    t2[:, 0], t2[:, 1], t2[:, 2] = v00, v11, v01
     # Cells split along the diagonal of increasing m + t, except cell
     # (0, n_t - 1): there that diagonal joins two weld vertices (k_A row and
     # flat-generator column) shared by both sheets, which would put four
@@ -334,7 +337,7 @@ def _sheet_triangles(n_m: int, n_t: int) -> np.ndarray:
     c = n_t - 1
     t1[c] = (v00[c], v10[c], v01[c])
     t2[c] = (v10[c], v11[c], v01[c])
-    return np.concatenate([t1, t2], axis=0)
+    return tris
 
 
 def _real_triangles(tris: np.ndarray) -> np.ndarray:
@@ -346,84 +349,140 @@ def _real_triangles(tris: np.ndarray) -> np.ndarray:
     return tris[distinct]
 
 
-def _directed_edges(mesh: TriMesh) -> np.ndarray:
+# Triangles per block in build_mesh, the closure check, volume and area: a
+# block's temporaries (a few MB) stay far below the mesh itself.
+_TRIANGLE_BLOCK = 1 << 15
+
+
+def _edge_keys(mesh: TriMesh) -> np.ndarray:
+    """Sorted keys 2*(min(a, b)*nv + max(a, b)) + (a > b), one per directed
+    edge a -> b of each non-degenerate triangle: ``key >> 1`` is the
+    undirected edge, the low bit its direction."""
     import numpy as np
 
-    # degenerate (repeated-index) triangles are topological no-ops
-    tris = _real_triangles(mesh.triangles)
-    return np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]], axis=0)
+    nv = len(mesh.vertices)
+    keys = np.empty(3 * len(mesh.triangles), dtype=np.int64)
+    count = 0
+    for start in range(0, len(mesh.triangles), _TRIANGLE_BLOCK):
+        a = _real_triangles(mesh.triangles[start : start + _TRIANGLE_BLOCK])
+        b = np.roll(a, -1, axis=1)  # edges (a0, a1), (a1, a2), (a2, a0)
+        k = keys[count : count + a.size].reshape(a.shape)
+        np.minimum(a, b, out=k)
+        k *= nv
+        k += np.maximum(a, b)
+        k *= 2
+        k += a > b
+        count += a.size
+    keys = keys[:count]
+    keys.sort()
+    return keys
 
 
 def mesh_is_closed(mesh: TriMesh) -> bool:
     """True when every edge is shared by exactly two consistently wound triangles.
 
-    Equivalently: no directed edge occurs twice, and the directed edges are
-    a permutation of their reverses.
+    Equivalently: each undirected edge is traversed exactly once in each
+    direction, so the sorted edge keys pair up as (2e, 2e + 1).  Pairs that
+    differ by one suffice.  A run of pairs (2e + 1, 2e + 2), ...,
+    (2e + 2k - 1, 2e + 2k) would leave only M -> m and m -> M + k without
+    their reverses, adding k > 0 to the sum of head - tail over all such
+    edges; but those edges form closed cycles, since each triangle enters
+    and leaves each of its vertices once, so that sum is 0.
     """
     import numpy as np
 
-    tris = _real_triangles(mesh.triangles)
-    nv = len(mesh.vertices)
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-    keys = np.concatenate([a * nv + b, b * nv + c, c * nv + a])
-    rev = np.concatenate([b * nv + a, c * nv + b, a * nv + c])
-    keys.sort()
-    if np.any(keys[1:] == keys[:-1]):
-        return False  # an edge traversed twice in the same direction
-    rev.sort()
-    return bool(np.array_equal(keys, rev))
+    keys = _edge_keys(mesh)
+    if len(keys) % 2:
+        return False
+    pairs = keys.reshape(-1, 2)
+    pairs[:, 1] -= pairs[:, 0]  # in place: the keys are this call's own
+    return bool(np.all(pairs[:, 1] == 1))
 
 
 def euler_characteristic(mesh: TriMesh) -> int:
     """V - E + F, with degenerate (repeated-index) triangles not counted as faces."""
     import numpy as np
 
-    edges = _directed_edges(mesh)
-    und = np.sort(edges, axis=1)
-    n_edges = len(np.unique(und, axis=0))
-    n_faces = len(_real_triangles(mesh.triangles))
-    return int(len(mesh.vertices) - n_edges + n_faces)
+    edges = _edge_keys(mesh) >> 1
+    n_edges = int(np.count_nonzero(edges[1:] != edges[:-1])) + (len(edges) > 0)
+    return int(len(mesh.vertices) - n_edges + len(edges) // 3)
+
+
+def _block_fsum(mesh: TriMesh, term) -> float:
+    """math.fsum of ``term(corners)`` over all triangles, ``corners`` being
+    the (rows, 3, 3) vertex coordinates of one block of triangles at a time;
+    fsum rounds once, so the block size cannot change the result."""
+    import itertools
+
+    import numpy as np
+
+    v, f = mesh.vertices, mesh.triangles
+    return math.fsum(
+        itertools.chain.from_iterable(
+            term(np.take(v, f[start : start + _TRIANGLE_BLOCK], axis=0)).tolist()
+            for start in range(0, len(f), _TRIANGLE_BLOCK)
+        )
+    )
 
 
 def mesh_volume(mesh: TriMesh) -> float:
     """Enclosed volume via signed tetrahedra from the origin.
 
-    Requires a closed, consistently oriented mesh.
+    Requires a closed, consistently oriented mesh.  The determinants are
+    gathered and computed ``_TRIANGLE_BLOCK`` triangles at a time, so memory
+    beyond the mesh stays bounded, and summed with ``math.fsum``: the result
+    is the correctly rounded sum over all triangles, for any block size.
     """
     import numpy as np
 
     if not mesh_is_closed(mesh):
         raise ValueError("mesh_volume requires a closed oriented mesh")
-    v = mesh.vertices[mesh.triangles]
-    dets = np.einsum("ij,ij->i", v[:, 0], np.cross(v[:, 1], v[:, 2]))
-    return float(np.sum(dets) / 6.0)
+    return _block_fsum(
+        mesh, lambda p: np.einsum("ij,ij->i", p[:, 0], np.cross(p[:, 1], p[:, 2]))
+    ) / 6.0
 
 
 def mesh_area(mesh: TriMesh) -> float:
-    """Total triangle area."""
+    """Total triangle area.
+
+    Computed block by block and summed with ``math.fsum``, as in
+    :func:`mesh_volume`.
+    """
     import numpy as np
 
-    v = mesh.vertices[mesh.triangles]
-    cross = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
-    return float(0.5 * np.sum(np.linalg.norm(cross, axis=1)))
+    return 0.5 * _block_fsum(
+        mesh,
+        lambda p: np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1),
+    )
 
 
 # Rows formatted per write call by export_obj: large enough to amortize the
-# per-call cost, small enough that a formatted block stays under 1 MB.
+# per-call cost, small enough that a block's line bytes stay under 1 MB.
 _OBJ_BLOCK_ROWS = 8192
+
+# Widest '%.16e' of a double's magnitude (three-digit exponent), such as
+# 1.7976931348623157e+308.
+_OBJ_FIELD = 23
 
 
 def export_obj(mesh: TriMesh, sink: str | IO[str]) -> None:
     """Write the mesh as Wavefront OBJ.
 
-    ``v x y z`` lines (17 significant digits, ASCII) followed by 1-based
-    ``f i j k`` lines; every line newline-terminated.  Output is
-    byte-identical across runs for identical meshes.
+    ``v x y z`` lines followed by 1-based ``f i j k`` lines; every line
+    newline-terminated, ASCII.  Each coordinate prints exactly as
+    ``f"{x:.16e}"`` (17 significant digits; ``-0.0`` keeps its sign, ``nan``
+    has none) and each index as ``f"{i}"``, so output is byte-identical
+    across runs for identical meshes.  Each distinct |coordinate| is
+    formatted once; the lines are then assembled and written
+    ``_OBJ_BLOCK_ROWS`` at a time, so memory beyond the mesh is one block
+    plus the table of distinct magnitudes.
 
     A path is written atomically: the OBJ goes to ``<sink>.<pid>.tmp`` in the
     same directory and is renamed onto ``sink`` only when complete, so a
     failed write leaves any existing file untouched and no temporary behind.
     """
+    if len(mesh.triangles) and mesh.triangles.min() < 0:
+        raise ValueError("export_obj requires nonnegative vertex indices")
     if not isinstance(sink, str):
         _write_obj(mesh, sink)
         return
@@ -442,13 +501,73 @@ def export_obj(mesh: TriMesh, sink: str | IO[str]) -> None:
         raise
 
 
+def _obj_lines(tag: str, fields: np.ndarray, keep: np.ndarray) -> str:
+    """One newline-terminated line ``tag f0 f1 f2`` per row of the
+    (rows, 3, width) uint8 ``fields``, each field cut to the bytes where
+    ``keep`` is True."""
+    import numpy as np
+
+    n, k, w = fields.shape
+    out = np.empty((n, k * (w + 1) + 2), dtype=np.uint8)
+    kept = np.ones(out.shape, dtype=bool)
+    out[:, 0], out[:, -1] = ord(tag), ord("\n")
+    body = out[:, 1:-1].reshape(n, k, w + 1)
+    body[..., 0] = ord(" ")
+    body[..., 1:] = fields
+    kept[:, 1:-1].reshape(n, k, w + 1)[..., 1:] = keep
+    return out[kept].tobytes().decode("ascii")
+
+
+def _magnitude_table(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct |values| of ``column`` in ascending order, and the ``%.16e``
+    bytes of each, left-aligned in ``_OBJ_FIELD`` columns padded by spaces."""
+    import numpy as np
+
+    # sort and adjacent comparison: np.unique would import numpy.ma, a fixed
+    # cost on every request
+    mags = np.abs(column)
+    mags.sort()
+    new = np.ones(len(mags), dtype=bool)
+    np.not_equal(mags[1:], mags[:-1], out=new[1:])
+    mags = mags[new]
+    table = np.empty((len(mags), _OBJ_FIELD), dtype=np.uint8)
+    for start in range(0, len(mags), _OBJ_BLOCK_ROWS):
+        chunk = mags[start : start + _OBJ_BLOCK_ROWS].tolist()
+        text = f"%-{_OBJ_FIELD}.16e" * len(chunk) % tuple(chunk)
+        table[start : start + len(chunk)] = np.frombuffer(
+            text.encode("ascii"), dtype=np.uint8
+        ).reshape(-1, _OBJ_FIELD)
+    return mags, table
+
+
 def _write_obj(mesh: TriMesh, fh: IO[str]) -> None:
-    # One % per block of rows: '%.16e' % x and '%d' % i print exactly as
-    # f"{x:.16e}" and f"{i}"
+    import numpy as np
+
     v, f = mesh.vertices, mesh.triangles
+    # one table per axis: the axes share almost no magnitudes, and a third
+    # of the table is searched twice as fast
+    columns = [_magnitude_table(v[:, k]) for k in range(3)]
     for start in range(0, len(v), _OBJ_BLOCK_ROWS):
         block = v[start : start + _OBJ_BLOCK_ROWS]
-        fh.write("v %.16e %.16e %.16e\n" * len(block) % tuple(block.ravel().tolist()))
+        fields = np.empty(block.shape + (1 + _OBJ_FIELD,), dtype=np.uint8)
+        fields[..., 0] = ord("-")
+        for k, (mags, table) in enumerate(columns):
+            row = np.searchsorted(mags, np.abs(block[:, k]))
+            fields[:, k, 1:] = np.take(table, row, axis=0)
+        keep = fields != ord(" ")
+        keep[..., 0] = np.signbit(block) & ~np.isnan(block)
+        fh.write(_obj_lines("v", fields, keep))
+    if not len(f):
+        return
+    # decimal digits of each 1-based index in a fixed width, leading zeros
+    # masked
+    width = len(str(int(f.max()) + 1))
+    power = 10 ** np.arange(width - 1, -1, -1)
     for start in range(0, len(f), _OBJ_BLOCK_ROWS):
-        block = f[start : start + _OBJ_BLOCK_ROWS] + 1
-        fh.write("f %d %d %d\n" * len(block) % tuple(block.ravel().tolist()))
+        index = f[start : start + _OBJ_BLOCK_ROWS] + 1
+        digits = np.empty(index.shape + (width,), dtype=np.uint8)
+        rest = index
+        for p in range(width - 1, -1, -1):
+            rest, digits[..., p] = np.divmod(rest, 10)
+        digits += ord("0")
+        fh.write(_obj_lines("f", digits, index[..., None] >= power))

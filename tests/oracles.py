@@ -1,6 +1,7 @@
 """Shared independent oracles: brute-force quadrature, finite differences,
-cached meshes, the straightforward mesh weld, closure check and OBJ writer,
-and the plain Monte Carlo width shard, which the library's vectorized and
+cached meshes, the straightforward mesh weld, closure check, Euler
+characteristic, whole-mesh volume/area terms and OBJ writer, and the plain
+Monte Carlo width shard, which the library's vectorized, blockwise and
 in-place versions must reproduce exactly.
 These deliberately avoid the library's own integration code paths."""
 
@@ -81,6 +82,40 @@ def closed_by_unique(mesh):
         return False
     rev = edges[:, 1] * nv + edges[:, 0]
     return bool(np.array_equal(np.sort(keys), np.sort(rev)))
+
+
+def euler_by_unique(mesh):
+    """V - E + F with the edges counted by np.unique over sorted index pairs."""
+    tris = mesh.triangles
+    tris = tris[
+        (tris[:, 0] != tris[:, 1])
+        & (tris[:, 1] != tris[:, 2])
+        & (tris[:, 0] != tris[:, 2])
+    ]
+    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    n_edges = len(np.unique(np.sort(edges, axis=1), axis=0))
+    return len(mesh.vertices) - n_edges + len(tris)
+
+
+def volume_terms(mesh):
+    """6 x signed tetrahedron volume of every triangle, from one gather of
+    vertices[triangles] over the whole mesh."""
+    v = mesh.vertices[mesh.triangles]
+    return np.einsum("ij,ij->i", v[:, 0], np.cross(v[:, 1], v[:, 2]))
+
+
+def area_terms(mesh):
+    """2 x area of every triangle, from one whole-mesh gather."""
+    v = mesh.vertices[mesh.triangles]
+    return np.linalg.norm(np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]), axis=1)
+
+
+def fsum_volume(mesh):
+    return math.fsum(volume_terms(mesh).tolist()) / 6.0
+
+
+def fsum_area(mesh):
+    return 0.5 * math.fsum(area_terms(mesh).tolist())
 
 
 def obj_text(mesh):

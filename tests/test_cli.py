@@ -251,6 +251,40 @@ def test_mesh_resolution_cap_is_accepted_and_documented(capsys):
     assert "2..1024" in capsys.readouterr().out
 
 
+# Linux charges a child the high-water RSS of the process that spawned it, so
+# the peaks are read in a fresh interpreter rather than in the test process,
+# which holds cached meshes.
+_RSS_PROBE = """
+import json, os, subprocess, sys
+def peak_mb(*args):
+    proc = subprocess.Popen([sys.executable, *args], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, usage.ru_maxrss / 1024
+print(json.dumps([
+    peak_mb("-c", "import numpy, oloid.cli"),
+    peak_mb("-m", "oloid", "mesh", "--resolution", "256", "--out", sys.argv[1]),
+]))
+"""
+
+
+def test_mesh_memory_beyond_imports_is_bounded(tmp_path):
+    # at n = 256 the mesh holds 9 MB and the command needs about 25 MB beyond
+    # numpy and the package; one whole-mesh gather of the triangles' corners
+    # (72 bytes per triangle) adds about 25 MB more
+    src = str(Path(oloid.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RSS_PROBE, str(tmp_path / "m.obj")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (import_code, imports), (mesh_code, mesh) = json.loads(proc.stdout)
+    assert import_code == 0 and mesh_code == 0
+    assert mesh - imports <= 40.0
+
+
 def test_mesh_io_failure(tmp_path):
     proc = run_cli("mesh", "--resolution", "2", "--out", "/nonexistent/dir/x.obj")
     assert proc.returncode == 1

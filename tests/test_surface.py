@@ -1,7 +1,9 @@
 import errno
 import hashlib
 import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -453,7 +455,36 @@ def test_mesh_is_closed_agrees_with_oracle(grid):
     mesh = _octahedron() if grid is None else sf.build_mesh(*grid)
     for variant in (mesh, _flipped(mesh), _dropped(mesh), _doubled(mesh)):
         assert sf.mesh_is_closed(variant) == oracles.closed_by_unique(variant)
+        assert sf.euler_characteristic(variant) == oracles.euler_by_unique(variant)
     assert sf.mesh_is_closed(mesh)
+
+
+# --- blockwise volume and area against one fsum over the whole mesh ----------
+
+
+# at n = 3, 76 and 92 a plain np.sum over all triangles, or over blocks,
+# misses the correctly rounded sum in the last digit
+@pytest.mark.parametrize("n", [3, 64, 76, 92, 128, 256])
+def test_volume_and_area_equal_whole_mesh_fsum(n):
+    mesh = oracles.cached_mesh(n)
+    assert sf.mesh_volume(mesh) == oracles.fsum_volume(mesh)
+    assert sf.mesh_area(mesh) == oracles.fsum_area(mesh)
+
+
+def test_mesh_stages_across_small_blocks(monkeypatch):
+    mesh = oracles.cached_mesh(64)
+    monkeypatch.setattr(sf, "_TRIANGLE_BLOCK", 7)
+    assert sf.mesh_volume(mesh) == oracles.fsum_volume(mesh)
+    assert sf.mesh_area(mesh) == oracles.fsum_area(mesh)
+    assert sf.euler_characteristic(mesh) == 2
+    rebuilt = sf.build_mesh(64, 64)  # triangles renumbered 7 at a time
+    np.testing.assert_array_equal(rebuilt.triangles, mesh.triangles)
+    small = sf.build_mesh(8, 8)
+    for variant in (small, _flipped(small), _dropped(small), _doubled(small)):
+        assert sf.mesh_is_closed(variant) == oracles.closed_by_unique(variant)
+        assert sf.euler_characteristic(variant) == oracles.euler_by_unique(variant)
+    with pytest.raises(ValueError):
+        sf.mesh_volume(_dropped(small))
 
 
 def _obj(mesh):
@@ -476,6 +507,69 @@ def test_export_obj_matches_line_oracle_across_blocks(monkeypatch):
     small = sf.build_mesh(5, 7)
     monkeypatch.setattr(sf, "_OBJ_BLOCK_ROWS", 7)
     assert _obj(small) == oracles.obj_text(small)
+
+
+def _vertices_only(vertices, triangles=((0, 0, 0),)):
+    return sf.TriMesh(
+        vertices=np.asarray(vertices, dtype=np.float64),
+        triangles=np.asarray(triangles, dtype=np.int64),
+        n_m=0,
+        n_t=0,
+    )
+
+
+# signed zero, infinities, NaN of either sign (printed without one), 3-digit
+# exponents (the widest field), subnormals and the 99 -> 100 exponent step
+SPECIAL_COORDINATES = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 1e-120, -1e-120,
+    5e-324, -2.2250738585072014e-310, 1.7976931348623157e308, -1.5e-100,
+    1e100, 9.999999999999999e99, 1e-99, 1.0, -0.5, 0.1,
+]
+
+
+@pytest.mark.parametrize("block_rows", [8192, 4])
+def test_export_obj_special_coordinates(monkeypatch, block_rows):
+    monkeypatch.setattr(sf, "_OBJ_BLOCK_ROWS", block_rows)
+    c = np.array(SPECIAL_COORDINATES)
+    # every value in every axis, next to different neighbours
+    mesh = _vertices_only(np.stack([c, np.roll(c, 5), np.roll(c[::-1], 2)], axis=1))
+    text = _obj(mesh)
+    assert text == oracles.obj_text(mesh)
+    assert " -0.0000000000000000e+00" in text and " -inf" in text
+    assert " nan" in text and "-nan" not in text
+    assert " 9.9999999999999998e-121" in text and " 4.9406564584124654e-324" in text
+
+
+@pytest.mark.parametrize("nv", [9, 10, 11, 99, 100, 101, 999, 1000, 1001])
+@pytest.mark.parametrize("block_rows", [8192, 7])
+def test_export_obj_face_index_widths(monkeypatch, nv, block_rows):
+    # every index 0..nv-1 in every corner: the printed width steps at 10,
+    # 100 and 1000 inside one file
+    monkeypatch.setattr(sf, "_OBJ_BLOCK_ROWS", block_rows)
+    index = np.arange(nv)
+    tris = np.stack([index, np.roll(index, 1), index[::-1]], axis=1)
+    mesh = _vertices_only(RNG.standard_normal((nv, 3)), tris)
+    assert _obj(mesh) == oracles.obj_text(mesh)
+
+
+def test_export_obj_rejects_negative_index(tmp_path):
+    mesh = _vertices_only(np.zeros((3, 3)), [(0, 1, -1)])
+    with pytest.raises(ValueError):
+        sf.export_obj(mesh, io.StringIO())
+    with pytest.raises(ValueError):
+        sf.export_obj(mesh, str(tmp_path / "x.obj"))
+    assert list(tmp_path.iterdir()) == []
+
+
+BENCH_REFERENCES = Path(__file__).resolve().parents[1] / "bench" / "references.json"
+
+
+@pytest.mark.parametrize("n", [64, 76, 256])
+def test_export_obj_matches_benchmark_references(n):
+    want = json.loads(BENCH_REFERENCES.read_text())["mesh_obj"][str(n)]
+    data = _obj(oracles.cached_mesh(n)).encode("ascii")
+    assert len(data) == want["bytes"]
+    assert hashlib.sha256(data).hexdigest() == want["sha256"]
 
 
 def test_export_obj_sha256_pinned():
