@@ -18,19 +18,19 @@ def main() -> None:
     args = parser.parse_args()
 
     rows = [
-        ("surface_area", "closed", intrinsic.surface_area("closed")),
-        ("surface_area", "quadrature", intrinsic.surface_area("quadrature", args.tol)),
-        ("volume", "closed", intrinsic.volume("closed")),
-        ("volume", "quadrature", intrinsic.volume("quadrature", args.tol)),
-        ("curvature_integral", "closed", intrinsic.curvature_integral("closed")),
+        ("surface_area", "closed", intrinsic.surface_area()),
+        ("surface_area", "quadrature", intrinsic.surface_area_quadrature(args.tol).value),
+        ("volume", "closed", intrinsic.volume()),
+        ("volume", "quadrature", intrinsic.volume_quadrature(args.tol).value),
+        ("curvature_integral", "closed", intrinsic.curvature_integral()),
         (
             "curvature_integral",
             "quadrature",
-            intrinsic.curvature_integral("quadrature", args.tol),
+            intrinsic.curvature_integral_quadrature(args.tol).value,
         ),
         ("coxeter_I", "quadrature", intrinsic.coxeter_like_integral()),
-        ("edge_integral", "reduced", intrinsic.edge_integral("reduced")),
-        ("edge_integral", "direct", intrinsic.edge_integral("direct", args.tol)),
+        ("edge_integral", "reduced", intrinsic.edge_integral()),
+        ("edge_integral", "direct", intrinsic.edge_integral_direct(args.tol).value),
         ("mean_curvature_M", "closed", intrinsic.mean_curvature_total(1.0)),
         ("mean_width", "curvature", intrinsic.mean_width(1.0)),
         ("mean_width", "direct", support.mean_width_direct(args.tol).value),

@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import intrinsic, steiner_kinematic, support, surface
 from .quadrature import QuadratureError
@@ -43,8 +43,7 @@ MIN_MC_SAMPLES = 10_000
 MAX_MC_SAMPLES = 1_000_000_000
 
 
-@dataclass(frozen=True)
-class OutputRecord:
+class OutputRecord(NamedTuple):
     quantity: str
     route: str
     value: float
@@ -169,7 +168,7 @@ def _cmd_constants(args) -> int:
         ),
         OutputRecord("coxeter_I", "quadrature", cox.value, cox.err_est, 0),
         OutputRecord(
-            "edge_integral", "reduced", intrinsic.edge_integral("reduced") * r, None, 1
+            "edge_integral", "reduced", intrinsic.edge_integral() * r, None, 1
         ),
         OutputRecord(
             "edge_integral", "direct", edge_d.value * r, edge_d.err_est * r, 1

@@ -7,7 +7,13 @@ modulus sqrt(3)/2 and the constant
 
 plus a direct quadrature of the corresponding surface/edge integral.  The
 two routes share no code path (AGM vs adaptive/tanh-sinh quadrature), so
-their agreement is a genuine cross-check.
+their agreement is a genuine cross-check.  Each route is its own function:
+``surface_area``, ``volume``, ``curvature_integral`` and ``edge_integral``
+return the closed (or reduced) form, and ``surface_area_quadrature``,
+``volume_quadrature``, ``curvature_integral_quadrature`` and
+``edge_integral_direct`` the quadrature with its error estimate.  The
+intrinsic-volume vector at r = 1 is built once from K, E and I; the volume,
+the mean-curvature integral M and the mean width b are read off it.
 
 No closed form for I is known; it is treated as a defined numerical
 constant, evaluated once at tolerance 1e-13 and cached.  Any future closed
@@ -17,18 +23,16 @@ form must reproduce that value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import quadrature as quad
 from .specfun import ellipe, ellipk
+from .surface import T_MAX, edge_angle
 
 __all__ = [
     "IntrinsicVolumes",
     "AppendixCheck",
-    "DEFAULT_TOL",
-    "DEFAULT_TOL_SINGULAR",
     "surface_area",
     "volume",
     "curvature_integral",
@@ -41,15 +45,12 @@ __all__ = [
 ]
 
 _K_MODULUS = math.sqrt(3.0) / 2.0
-_T_MAX = 2.0 * math.pi / 3.0
 
-# Achievable double-precision accuracy of the two schemes
-DEFAULT_TOL = 1e-12
+# Achievable double-precision accuracy of the tanh-sinh scheme
 DEFAULT_TOL_SINGULAR = 1e-10
 
 
-@dataclass(frozen=True)
-class IntrinsicVolumes:
+class IntrinsicVolumes(NamedTuple):
     """Intrinsic-volume vector (V0, V1, V2, V3) of a convex body in R^3.
 
     V0 is the Euler characteristic, V1 = 2 * mean width, V2 = surface/2,
@@ -93,12 +94,12 @@ def _singular_factor(u: float) -> float:
 
 
 def _surface_integrand(u: float) -> float:
-    c = math.cos(_T_MAX - u)
+    c = math.cos(T_MAX - u)
     return (2.0 + c) / math.sqrt((1.0 + c) * _singular_factor(u))
 
 
 def _volume_integrand(u: float) -> float:
-    c = math.cos(_T_MAX - u)
+    c = math.cos(T_MAX - u)
     one_c = 1.0 + c
     return math.sqrt(_singular_factor(u)) / (one_c * one_c)
 
@@ -112,32 +113,30 @@ def _coxeter_integrand(t: float) -> float:
     return math.acos(c / (1.0 + c))
 
 
-def _edge_integrand(t: float) -> float:
-    c = math.cos(t)
-    return math.acos(max(-1.0, min(1.0, -c / (1.0 + c))))
+def _singular_route(
+    f: Callable[[float], float], scale: float, tol: float
+) -> quad.QuadResult:
+    """``scale`` times the tanh-sinh integral of ``f`` over [0, 2*pi/3]."""
+    r = quad.integrate_singular(f, 0.0, T_MAX, tol)
+    return quad.QuadResult(scale * r.value, scale * r.err_est, r.evals)
 
 
 def surface_area_quadrature(tol: float = DEFAULT_TOL_SINGULAR) -> quad.QuadResult:
-    r = quad.integrate_singular(_surface_integrand, 0.0, _T_MAX, tol)
-    s = 2.0 * math.sqrt(2.0)
-    return quad.QuadResult(s * r.value, s * r.err_est, r.evals)
+    return _singular_route(_surface_integrand, 2.0 * math.sqrt(2.0), tol)
 
 
 def volume_quadrature(tol: float = DEFAULT_TOL_SINGULAR) -> quad.QuadResult:
-    r = quad.integrate_singular(_volume_integrand, 0.0, _T_MAX, tol)
-    return quad.QuadResult(2.0 * r.value, 2.0 * r.err_est, r.evals)
+    return _singular_route(_volume_integrand, 2.0, tol)
 
 
 def curvature_integral_quadrature(tol: float = DEFAULT_TOL_SINGULAR) -> quad.QuadResult:
-    r = quad.integrate_singular(_curvature_integrand, 0.0, _T_MAX, tol)
-    return quad.QuadResult(3.0 * r.value, 3.0 * r.err_est, r.evals)
+    return _singular_route(_curvature_integrand, 3.0, tol)
 
 
 def edge_integral_direct(tol: float = DEFAULT_TOL_SINGULAR) -> quad.QuadResult:
     # smooth value but sqrt-type derivative blow-up at t = 2*pi/3, which the
     # double-exponential rule absorbs
-    r = quad.integrate_singular(_edge_integrand, 0.0, _T_MAX, tol)
-    return quad.QuadResult(2.0 * r.value, 2.0 * r.err_est, r.evals)
+    return _singular_route(edge_angle, 2.0, tol)
 
 
 @lru_cache(maxsize=1)
@@ -146,36 +145,34 @@ def coxeter_like_result() -> quad.QuadResult:
     return quad.integrate(_coxeter_integrand, 0.0, 0.5 * math.pi, 1e-13)
 
 
-# --- public routes ---------------------------------------------------------
+@lru_cache(maxsize=1)
+def _unit() -> IntrinsicVolumes:
+    """Intrinsic-volume vector of the oloid at r = 1, from K, E and I:
+
+        V1 = 3K/pi + 3*pi/2 - 4I/pi,  V2 = 2*pi,  V3 = (2/3)(2E + K).
+    """
+    kk = ellipk(_K_MODULUS)
+    ee = ellipe(_K_MODULUS)
+    v1 = 3.0 / math.pi * kk + 1.5 * math.pi - 4.0 / math.pi * coxeter_like_integral()
+    return IntrinsicVolumes(1.0, v1, 2.0 * math.pi, (2.0 / 3.0) * (2.0 * ee + kk))
 
 
-def surface_area(route: str = "closed", tol: float = DEFAULT_TOL_SINGULAR) -> float:
+# --- closed forms ----------------------------------------------------------
+
+
+def surface_area() -> float:
     """Surface area of the oloid at r = 1 (equals 4*pi, as for the unit ball)."""
-    if route == "closed":
-        return 4.0 * math.pi
-    if route == "quadrature":
-        return surface_area_quadrature(tol).value
-    raise ValueError(f"unknown route {route!r}")
+    return _unit().surface
 
 
-def volume(route: str = "closed", tol: float = DEFAULT_TOL_SINGULAR) -> float:
+def volume() -> float:
     """Volume of the oloid at r = 1: (2/3) [K(sqrt(3)/2) + 2 E(sqrt(3)/2)]."""
-    if route == "closed":
-        return (2.0 / 3.0) * (ellipk(_K_MODULUS) + 2.0 * ellipe(_K_MODULUS))
-    if route == "quadrature":
-        return volume_quadrature(tol).value
-    raise ValueError(f"unknown route {route!r}")
+    return _unit().v3
 
 
-def curvature_integral(
-    route: str = "closed", tol: float = DEFAULT_TOL_SINGULAR
-) -> float:
+def curvature_integral() -> float:
     """Integral of mean curvature over the smooth part: 3 K(sqrt(3)/2)."""
-    if route == "closed":
-        return 3.0 * ellipk(_K_MODULUS)
-    if route == "quadrature":
-        return curvature_integral_quadrature(tol).value
-    raise ValueError(f"unknown route {route!r}")
+    return 3.0 * ellipk(_K_MODULUS)
 
 
 def coxeter_like_integral() -> float:
@@ -187,56 +184,35 @@ def coxeter_like_integral() -> float:
     return coxeter_like_result().value
 
 
-def edge_integral(route: str = "reduced", tol: float = DEFAULT_TOL_SINGULAR) -> float:
+def edge_integral() -> float:
     """Edge contribution to the mean-curvature integral at r = 1.
 
     The boundary has two congruent edges (on k_A and k_B); the generalized
     mean-curvature formula weights their angle integrals by 1/2, so the
-    total equals a single edge's integral 2 * integral_0^{2pi/3} alpha(t) dt.
-    The ``reduced`` route uses the exact rearrangement 3*pi^2/2 - 4*I, the
-    ``direct`` route integrates alpha itself.
+    total equals a single edge's integral 2 * integral_0^{2pi/3} alpha(t) dt,
+    rearranged exactly into 3*pi^2/2 - 4*I.
     """
-    if route == "reduced":
-        return 1.5 * math.pi**2 - 4.0 * coxeter_like_integral()
-    if route == "direct":
-        return edge_integral_direct(tol).value
-    raise ValueError(f"unknown route {route!r}")
+    return 1.5 * math.pi**2 - 4.0 * coxeter_like_integral()
 
 
 def mean_curvature_total(r: float = 1.0) -> float:
-    """Total integral of mean curvature M of the oloid with radius r.
+    """Total integral of mean curvature M = pi * V1 of the oloid with radius r.
 
     M = [3 K(sqrt(3)/2) + 3*pi^2/2 - 4 I] * r; homogeneous of degree 1.
     """
-    if not r > 0.0:
-        raise ValueError(f"radius must be positive, got {r!r}")
-    return (
-        3.0 * ellipk(_K_MODULUS) + 1.5 * math.pi**2 - 4.0 * coxeter_like_integral()
-    ) * r
+    return oloid_intrinsic_volumes(r).mean_curvature_integral
 
 
 def mean_width(r: float = 1.0) -> float:
-    """Mean width of the oloid with radius r: M / (2*pi)."""
-    return mean_curvature_total(r) / (2.0 * math.pi)
+    """Mean width of the oloid with radius r: M / (2*pi) = V1 / 2."""
+    return oloid_intrinsic_volumes(r).mean_width
 
 
 def oloid_intrinsic_volumes(r: float = 1.0) -> IntrinsicVolumes:
     """Intrinsic-volume vector of the oloid with radius r."""
     if not r > 0.0:
         raise ValueError(f"radius must be positive, got {r!r}")
-    kk = ellipk(_K_MODULUS)
-    ee = ellipe(_K_MODULUS)
-    v1 = (
-        3.0 / math.pi * kk
-        + 1.5 * math.pi
-        - 4.0 / math.pi * coxeter_like_integral()
-    ) * r
-    return IntrinsicVolumes(
-        v0=1.0,
-        v1=v1,
-        v2=2.0 * math.pi * r * r,
-        v3=(2.0 / 3.0) * (2.0 * ee + kk) * r**3,
-    )
+    return _unit().scaled(r)
 
 
 class AppendixCheck(NamedTuple):
@@ -254,6 +230,6 @@ def appendix_identity_check(tol: float) -> AppendixCheck:
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
-    j = quad.integrate_singular(_curvature_integrand, 0.0, _T_MAX, tol).value
+    j = _singular_route(_curvature_integrand, 1.0, tol).value
     k = ellipk(_K_MODULUS)
     return AppendixCheck(j=j, k=k, delta=abs(j - k))

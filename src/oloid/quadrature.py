@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 __all__ = [
     "QuadResult",
@@ -38,8 +37,6 @@ __all__ = [
     "integrate",
     "integrate_singular",
     "integrate2d",
-    "MAX_PANELS",
-    "MAX_EVALS",
 ]
 
 MAX_PANELS = 1 << 15
@@ -132,8 +129,7 @@ _W21 = (
 _EVALS_PER_PANEL = len(_X10) + len(_X21)
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     """Value of a numerical integral with its error estimate.
 
     ``err_est`` is absolute; ``evals`` counts integrand evaluations.

@@ -18,10 +18,9 @@ dimensionless).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .intrinsic import IntrinsicVolumes, mean_curvature_total, volume as oloid_volume
+from .intrinsic import IntrinsicVolumes, oloid_intrinsic_volumes
 from .support import _mean_se, _philox_shards
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "parallel_body",
     "kinematic_coefficient",
     "ball_intrinsic_volumes",
-    "ball_intrinsic_volume_via_binomial",
     "kinematic_functionals",
     "intersection_expectations",
     "lens_volume",
@@ -76,8 +74,7 @@ def steiner_volume(body: IntrinsicVolumes, rho: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class ParallelBody:
+class ParallelBody(NamedTuple):
     """Mean-curvature integral, surface area and volume of the oloid's parallel body."""
 
     mean_curvature: float
@@ -93,14 +90,15 @@ def parallel_body(r: float, rho: float) -> ParallelBody:
         S = 4 pi r^2 + 2 M1 r rho + 4 pi rho^2
         V = V1 r^3 + 4 pi r^2 rho + M1 r rho^2 + (4 pi / 3) rho^3
 
-    with M1, V1 the mean-curvature integral and volume at r = 1.
+    with M1, V1 the mean-curvature integral and volume at r = 1, read off
+    the oloid's intrinsic-volume vector.
     """
     if not r > 0.0:
         raise ValueError(f"radius must be positive, got {r!r}")
     if rho < 0.0:
         raise ValueError(f"offset must be nonnegative, got {rho!r}")
-    m1 = mean_curvature_total(1.0)
-    v1 = oloid_volume("closed")
+    unit = oloid_intrinsic_volumes(1.0)
+    m1, v1 = unit.mean_curvature_integral, unit.v3
     four_pi = 4.0 * math.pi
     return ParallelBody(
         mean_curvature=m1 * r + four_pi * rho,
@@ -153,8 +151,7 @@ def ball_intrinsic_volume_via_binomial(k: int, r: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class KinematicFunctionals:
+class KinematicFunctionals(NamedTuple):
     """The four motion integrals I_0..I_3 for a pair of convex bodies."""
 
     i0: float

@@ -28,8 +28,6 @@ __all__ = [
     "support_spherical",
     "width",
     "switching_angle",
-    "support_from_circle_a",
-    "support_from_circle_b",
     "mean_width_direct",
     "mean_width_montecarlo",
     "WidthEstimate",
@@ -61,11 +59,7 @@ def support_cartesian(u) -> float:
 def support_spherical(phi: float, theta: float) -> float:
     """Support function in the direction (cos phi sin theta, sin phi sin theta, cos theta)."""
     st = math.sin(theta)
-    u = (math.cos(phi) * st, math.sin(phi) * st, math.cos(theta))
-    return max(
-        -0.5 * u[1] + math.hypot(u[0], u[1]),
-        0.5 * u[1] + math.hypot(u[1], u[2]),
-    )
+    return support_cartesian((math.cos(phi) * st, math.sin(phi) * st, math.cos(theta)))
 
 
 def width(phi: float, theta: float) -> float:

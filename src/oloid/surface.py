@@ -26,13 +26,9 @@ with the parameter t (ds = dt) and edge integrals are taken directly in t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import IO
+from typing import IO, NamedTuple
 
 __all__ = [
-    "T_MAX",
-    "B11",
-    "B12",
     "MetricCoeffs",
     "TriMesh",
     "circle_point_a",
@@ -76,6 +72,18 @@ def circle_point_b(t: float) -> np.ndarray:
     return np.array([0.0, math.cos(t) + 0.5, math.sin(t)])
 
 
+def _sheet_xyz(m, c, s):
+    """Coordinates (x, y, |z|) of the sheet points at m and cos t = c,
+    sin t = s; floats or broadcasting numpy arrays."""
+    import numpy as np
+
+    one_c = 1.0 + c
+    x = (1.0 - m) * s
+    y = (2.0 * (m - 1.0) * c * c + (2.0 * m - 3.0) * c + 2.0 * m - 1.0) / (2.0 * one_c)
+    z = m * np.sqrt(np.maximum(1.0 + 2.0 * c, 0.0)) / one_c
+    return x, y, z
+
+
 def surface_point(m: float, t: float, sheet: int = 1) -> np.ndarray:
     """Point of the boundary surface at parameters (m, t) on the given sheet.
 
@@ -85,17 +93,11 @@ def surface_point(m: float, t: float, sheet: int = 1) -> np.ndarray:
 
     if sheet not in (1, -1):
         raise ValueError(f"sheet must be +1 or -1, got {sheet!r}")
-    c = math.cos(t)
-    x = (1.0 - m) * math.sin(t)
-    y = (2.0 * (m - 1.0) * c * c + (2.0 * m - 3.0) * c + 2.0 * m - 1.0) / (
-        2.0 * (1.0 + c)
-    )
-    z = m * math.sqrt(max(1.0 + 2.0 * c, 0.0)) / (1.0 + c)
+    x, y, z = _sheet_xyz(m, math.cos(t), math.sin(t))
     return np.array([x, y, sheet * z])
 
 
-@dataclass(frozen=True)
-class MetricCoeffs:
+class MetricCoeffs(NamedTuple):
     """First-fundamental-form coefficients at a parameter point.
 
     g11 = <w_m, w_m>, g12 = <w_m, w_t>, g22 = <w_t, w_t>, and g is the
@@ -197,8 +199,7 @@ def jacobian_xy(m: float, t: float) -> float:
 # Discrete oracle: watertight triangle mesh of the boundary
 
 
-@dataclass
-class TriMesh:
+class TriMesh(NamedTuple):
     """Watertight triangle mesh of the oloid boundary.
 
     ``vertices`` is (nv, 3) float64, ``triangles`` (nf, 3) int64 with
@@ -270,14 +271,7 @@ def _unwelded_sheets(
     m = np.linspace(0.0, 1.0, n_m + 1)
     _, c, s = _parameter_grid(n_t)
 
-    M = m[:, None]
-    C = c[None, :]
-    S = s[None, :]
-    x = (1.0 - M) * S
-    y = (2.0 * (M - 1.0) * C * C + (2.0 * M - 3.0) * C + 2.0 * M - 1.0) / (
-        2.0 * (1.0 + C)
-    )
-    zmag = M * np.sqrt(np.maximum(1.0 + 2.0 * C, 0.0)) / (1.0 + C)
+    x, y, zmag = _sheet_xyz(m[:, None], c[None, :], s[None, :])
     zmag[:, 0] = 0.0  # 1 + 2 cos t vanishes analytically at |t| = 2*pi/3
     zmag[:, n_t] = 0.0
 

@@ -57,7 +57,7 @@ def test_criterion_1_surface_area():
 
 
 def test_criterion_2_volume():
-    closed = intrinsic.volume("closed")
+    closed = intrinsic.volume()
     quad = intrinsic.volume_quadrature(1e-13).value
     mesh_err = {}
     for n in (64, 128, 256):
@@ -88,9 +88,10 @@ def test_criterion_3_coxeter_like_integral():
 
 def test_criterion_4_total_mean_curvature():
     m = intrinsic.mean_curvature_total(1.0)
-    assembled = intrinsic.curvature_integral(
-        "quadrature", tol=1e-11
-    ) + intrinsic.edge_integral("direct", tol=1e-11)
+    assembled = (
+        intrinsic.curvature_integral_quadrature(tol=1e-11).value
+        + intrinsic.edge_integral_direct(tol=1e-11).value
+    )
     ok = abs(m - M_REF) / M_REF <= 1e-11 and abs(m - assembled) <= 1e-10
     report(
         4,

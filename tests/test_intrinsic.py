@@ -1,5 +1,7 @@
 import math
+import random
 import re
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -19,28 +21,28 @@ B_REF = 2.19067696623158876633263049436
 
 
 def test_surface_area_routes():
-    closed = intrinsic.surface_area("closed")
+    closed = intrinsic.surface_area()
     assert closed == pytest.approx(12.566370614359172, rel=1e-15)
-    quad = intrinsic.surface_area("quadrature", tol=1e-10)
+    quad = intrinsic.surface_area_quadrature(tol=1e-10).value
     assert quad == pytest.approx(closed, rel=1e-10)
     mesh = oracles.cached_mesh(256)
     assert mesh_area(mesh) == pytest.approx(closed, rel=1e-4)
 
 
 def test_volume_routes():
-    closed = intrinsic.volume("closed")
+    closed = intrinsic.volume()
     assert closed == pytest.approx(V_REF, rel=1e-15)
-    quad = intrinsic.volume("quadrature", tol=1e-10)
+    quad = intrinsic.volume_quadrature(tol=1e-10).value
     assert quad == pytest.approx(V_REF, rel=1e-10)
     mesh = oracles.cached_mesh(256)
     assert mesh_volume(mesh) == pytest.approx(V_REF, rel=1e-4)
 
 
 def test_curvature_integral_routes():
-    closed = intrinsic.curvature_integral("closed")
+    closed = intrinsic.curvature_integral()
     assert closed == pytest.approx(3.0 * ellipk(SQRT3_2), rel=1e-15)
     assert closed == pytest.approx(6.469546942498930, rel=1e-14)
-    quad = intrinsic.curvature_integral("quadrature", tol=1e-10)
+    quad = intrinsic.curvature_integral_quadrature(tol=1e-10).value
     assert abs(quad - closed) < 1e-10
 
 
@@ -53,32 +55,22 @@ def test_coxeter_like_integral():
 
 
 def test_edge_integral_routes():
-    reduced = intrinsic.edge_integral("reduced")
+    reduced = intrinsic.edge_integral()
     assert reduced == pytest.approx(EDGE_REF, rel=1e-13)
-    direct = intrinsic.edge_integral("direct", tol=1e-10)
+    direct = intrinsic.edge_integral_direct(tol=1e-10).value
     assert abs(direct - reduced) <= 1e-10
     # crude positivity / upper bound from alpha in [0, pi]
     assert 0.0 < direct < 2.0 * math.pi * 2.0 * math.pi / 3.0
-
-
-def test_unknown_route_rejected():
-    for fn in (
-        intrinsic.surface_area,
-        intrinsic.volume,
-        intrinsic.curvature_integral,
-        intrinsic.edge_integral,
-    ):
-        with pytest.raises(ValueError):
-            fn("nonsense")
 
 
 def test_mean_curvature_total():
     m1 = intrinsic.mean_curvature_total(1.0)
     assert m1 == pytest.approx(M_REF, rel=1e-12)
     assert intrinsic.mean_curvature_total(2.0) == pytest.approx(2.0 * m1, rel=1e-15)
-    assembled = intrinsic.curvature_integral(
-        "quadrature", tol=1e-11
-    ) + intrinsic.edge_integral("direct", tol=1e-11)
+    assembled = (
+        intrinsic.curvature_integral_quadrature(tol=1e-11).value
+        + intrinsic.edge_integral_direct(tol=1e-11).value
+    )
     assert abs(m1 - assembled) <= 1e-10
     with pytest.raises(ValueError):
         intrinsic.mean_curvature_total(0.0)
@@ -89,6 +81,28 @@ def test_mean_width():
     assert b1 == pytest.approx(B_REF, rel=1e-12)
     assert intrinsic.mean_width(3.0) == pytest.approx(3.0 * b1, rel=1e-15)
     assert b1 == pytest.approx(intrinsic.mean_curvature_total(1.0) / (2 * math.pi))
+
+
+def test_mean_width_and_curvature_read_off_the_vector_within_an_ulp():
+    """b = V1/2 and M = pi V1 from the one intrinsic-volume vector, checked
+    against 30-digit references over radii drawn as the benchmark draws them."""
+    b_ref = Decimal("2.19067696623158876633263049436")
+    m_ref = Decimal("13.7644293270030696543343466299")
+    rng = random.Random(20240817)
+    worst = {"b": 0.0, "M": 0.0}
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for _ in range(2000):
+            r = float(format(math.exp(rng.uniform(math.log(0.25), math.log(4.0))), ".6g"))
+            v1 = intrinsic.oloid_intrinsic_volumes(r).v1
+            b, m = intrinsic.mean_width(r), intrinsic.mean_curvature_total(r)
+            assert b == v1 / 2
+            assert m == math.pi * v1
+            for name, value, ref in (("b", b, b_ref), ("M", m, m_ref)):
+                exact = ref * Decimal(r)
+                ulps = float(abs(Decimal(value) - exact)) / math.ulp(float(exact))
+                worst[name] = max(worst[name], ulps)
+    assert worst["b"] <= 1.0 and worst["M"] <= 2.0, worst
 
 
 def test_mean_width_agrees_with_direct_route():
@@ -137,13 +151,13 @@ def test_mean_width_betweenness():
 
 def test_route_agreement_invariant():
     pairs = [
-        (intrinsic.surface_area("closed"), intrinsic.surface_area("quadrature", tol=1e-11)),
-        (intrinsic.volume("closed"), intrinsic.volume("quadrature", tol=1e-11)),
+        (intrinsic.surface_area(), intrinsic.surface_area_quadrature(tol=1e-11).value),
+        (intrinsic.volume(), intrinsic.volume_quadrature(tol=1e-11).value),
         (
-            intrinsic.curvature_integral("closed"),
-            intrinsic.curvature_integral("quadrature", tol=1e-11),
+            intrinsic.curvature_integral(),
+            intrinsic.curvature_integral_quadrature(tol=1e-11).value,
         ),
-        (intrinsic.edge_integral("reduced"), intrinsic.edge_integral("direct", tol=1e-11)),
+        (intrinsic.edge_integral(), intrinsic.edge_integral_direct(tol=1e-11).value),
     ]
     for closed, quad in pairs:
         assert abs(closed - quad) <= 1e-10 * max(1.0, abs(closed))

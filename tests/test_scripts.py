@@ -1,0 +1,63 @@
+"""Smoke runs of the scripts in ``scripts/``: exit 0 and the expected rows in order."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import oloid
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    src = str(Path(oloid.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_reproduce_constants_rows():
+    lines = run_script("reproduce_constants.py", "--mc-samples", "10000")
+    table = lines[1 : lines.index("")]
+    assert [tuple(line.split()[:2]) for line in table] == [
+        ("surface_area", "closed"),
+        ("surface_area", "quadrature"),
+        ("volume", "closed"),
+        ("volume", "quadrature"),
+        ("curvature_integral", "closed"),
+        ("curvature_integral", "quadrature"),
+        ("coxeter_I", "quadrature"),
+        ("edge_integral", "reduced"),
+        ("edge_integral", "direct"),
+        ("mean_curvature_M", "closed"),
+        ("mean_width", "curvature"),
+        ("mean_width", "direct"),
+        ("mean_width", "montecarlo"),
+    ]
+    assert lines[-2].startswith("Monte Carlo std error:")
+
+
+def test_kinematic_table_rows():
+    lines = run_script("kinematic_table.py", "--mc-samples", "10000")
+    assert [line.split()[:2] for line in lines[1:4]] == [
+        ["ball", "ball"],
+        ["oloid", "ball"],
+        ["oloid", "oloid"],
+    ]
+    assert lines[5].startswith("ball-ball Monte Carlo (10000 samples")
+    assert lines[6].split()[0] == "E[V]"
+    assert lines[7].split()[0] == "E[S]"
+
+
+def test_mesh_convergence_rows():
+    lines = run_script("mesh_convergence.py", "--max-power", "4")
+    assert lines[0].split()[0] == "n"
+    assert [line.split()[0] for line in lines[1:]] == ["8", "16"]
