@@ -29,7 +29,7 @@ def main() -> None:
     for p in range(3, args.max_power + 1):
         n = 2**p
         start = time.perf_counter()
-        mesh = build_mesh(n, n)
+        mesh = build_mesh(n)
         ev = abs(mesh_volume(mesh) - v_ref) / v_ref
         ea = abs(mesh_area(mesh) - s_ref) / s_ref
         elapsed = time.perf_counter() - start

@@ -250,7 +250,7 @@ def _cmd_kinematic(args) -> int:
 
 
 def _cmd_mesh(args) -> int:
-    mesh = surface.build_mesh(args.resolution, args.resolution)
+    mesh = surface.build_mesh(args.resolution)
     try:
         surface.export_obj(mesh, args.out)
     except OSError as exc:

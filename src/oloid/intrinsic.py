@@ -46,9 +46,6 @@ __all__ = [
 
 _K_MODULUS = math.sqrt(3.0) / 2.0
 
-# Achievable double-precision accuracy of the tanh-sinh scheme
-DEFAULT_TOL_SINGULAR = 1e-10
-
 
 class IntrinsicVolumes(NamedTuple):
     """Intrinsic-volume vector (V0, V1, V2, V3) of a convex body in R^3.
@@ -121,19 +118,19 @@ def _singular_route(
     return quad.QuadResult(scale * r.value, scale * r.err_est, r.evals)
 
 
-def surface_area_quadrature(tol: float = DEFAULT_TOL_SINGULAR) -> quad.QuadResult:
+def surface_area_quadrature(tol: float) -> quad.QuadResult:
     return _singular_route(_surface_integrand, 2.0 * math.sqrt(2.0), tol)
 
 
-def volume_quadrature(tol: float = DEFAULT_TOL_SINGULAR) -> quad.QuadResult:
+def volume_quadrature(tol: float) -> quad.QuadResult:
     return _singular_route(_volume_integrand, 2.0, tol)
 
 
-def curvature_integral_quadrature(tol: float = DEFAULT_TOL_SINGULAR) -> quad.QuadResult:
+def curvature_integral_quadrature(tol: float) -> quad.QuadResult:
     return _singular_route(_curvature_integrand, 3.0, tol)
 
 
-def edge_integral_direct(tol: float = DEFAULT_TOL_SINGULAR) -> quad.QuadResult:
+def edge_integral_direct(tol: float) -> quad.QuadResult:
     # smooth value but sqrt-type derivative blow-up at t = 2*pi/3, which the
     # double-exponential rule absorbs
     return _singular_route(edge_angle, 2.0, tol)

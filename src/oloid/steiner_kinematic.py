@@ -66,7 +66,7 @@ def steiner_volume(body: IntrinsicVolumes, rho: float) -> float:
 
     V(K + rho*B) = sum_{j=0}^{3} rho^(3-j) kappa_(3-j) V_j(K).
     """
-    if rho < 0.0:
+    if not rho >= 0.0:
         raise ValueError(f"offset must be nonnegative, got {rho!r}")
     vs = (body.v0, body.v1, body.v2, body.v3)
     return math.fsum(
@@ -88,23 +88,21 @@ def parallel_body(r: float, rho: float) -> ParallelBody:
 
         M = M1 r + 4 pi rho
         S = 4 pi r^2 + 2 M1 r rho + 4 pi rho^2
-        V = V1 r^3 + 4 pi r^2 rho + M1 r rho^2 + (4 pi / 3) rho^3
 
-    with M1, V1 the mean-curvature integral and volume at r = 1, read off
-    the oloid's intrinsic-volume vector.
+    with M1 the mean-curvature integral at r = 1, read off the oloid's
+    intrinsic-volume vector; the volume is :func:`steiner_volume` of the
+    radius-r vector.
     """
     if not r > 0.0:
         raise ValueError(f"radius must be positive, got {r!r}")
-    if rho < 0.0:
+    if not rho >= 0.0:
         raise ValueError(f"offset must be nonnegative, got {rho!r}")
-    unit = oloid_intrinsic_volumes(1.0)
-    m1, v1 = unit.mean_curvature_integral, unit.v3
+    m1 = oloid_intrinsic_volumes(1.0).mean_curvature_integral
     four_pi = 4.0 * math.pi
     return ParallelBody(
         mean_curvature=m1 * r + four_pi * rho,
         surface=four_pi * r * r + 2.0 * m1 * r * rho + four_pi * rho * rho,
-        volume=v1 * r**3 + four_pi * r * r * rho + m1 * r * rho * rho
-        + four_pi / 3.0 * rho**3,
+        volume=steiner_volume(oloid_intrinsic_volumes(r), rho),
         rho=rho,
     )
 
@@ -139,15 +137,6 @@ def ball_intrinsic_volumes(r: float) -> IntrinsicVolumes:
         raise ValueError(f"radius must be positive, got {r!r}")
     return IntrinsicVolumes(
         v0=1.0, v1=4.0 * r, v2=2.0 * math.pi * r * r, v3=4.0 * math.pi * r**3 / 3.0
-    )
-
-
-def ball_intrinsic_volume_via_binomial(k: int, r: float) -> float:
-    """V_k of the radius-r 3-ball from C(3,k) kappa_3 / kappa_(3-k) r^k."""
-    if not 0 <= k <= 3:
-        raise ValueError(f"k must be in 0..3, got {k}")
-    return (
-        math.comb(3, k) * unit_ball_volume(3) / unit_ball_volume(3 - k) * r**k
     )
 
 
@@ -206,22 +195,22 @@ def intersection_expectations(
     )
 
 
-def lens_volume(d: float, r: float = 1.0) -> float:
-    """Volume of the intersection of two radius-r balls with center distance d.
+def lens_volume(d: float) -> float:
+    """Volume of the intersection of two unit balls with center distance d.
 
-    (pi/12) (4r + d) (2r - d)^2 for 0 <= d <= 2r; the full ball at d = 0 and
-    empty at d = 2r.
+    (pi/12) (4 + d) (2 - d)^2 for 0 <= d <= 2; the full ball at d = 0 and
+    empty at d = 2.
     """
-    if d < 0.0 or d > 2.0 * r:
-        raise ValueError(f"need 0 <= d <= 2r, got d={d!r}, r={r!r}")
-    return math.pi / 12.0 * (4.0 * r + d) * (2.0 * r - d) ** 2
+    if not 0.0 <= d <= 2.0:
+        raise ValueError(f"need 0 <= d <= 2, got d={d!r}")
+    return math.pi / 12.0 * (4.0 + d) * (2.0 - d) ** 2
 
 
-def lens_surface(d: float, r: float = 1.0) -> float:
-    """Surface area of the two-ball intersection: two caps of height r - d/2."""
-    if d < 0.0 or d > 2.0 * r:
-        raise ValueError(f"need 0 <= d <= 2r, got d={d!r}, r={r!r}")
-    return 4.0 * math.pi * r * r - 2.0 * math.pi * r * d
+def lens_surface(d: float) -> float:
+    """Surface area of the two-unit-ball intersection: two caps of height 1 - d/2."""
+    if not 0.0 <= d <= 2.0:
+        raise ValueError(f"need 0 <= d <= 2, got d={d!r}")
+    return 4.0 * math.pi - 2.0 * math.pi * d
 
 
 class BallBallMC(NamedTuple):
@@ -234,11 +223,10 @@ class BallBallMC(NamedTuple):
 def _ball_ball_shard(rng, count: int) -> tuple[float, float, float, float]:
     """Sums and sums of squares of the lens volume and surface over ``count`` offsets.
 
-    The lens_volume and lens_surface formulas at r = 1, operation for
-    operation, in the three rows of one block reused in place.  One block
-    rather than three arrays: glibc then keeps its pages from shard to
-    shard instead of trimming and faulting them in again (about 200 page
-    faults per shard).
+    The lens_volume and lens_surface formulas, operation for operation, in
+    the three rows of one block reused in place.  One block rather than
+    three arrays: glibc then keeps its pages from shard to shard instead of
+    trimming and faulting them in again (about 200 page faults per shard).
     """
     import numpy as np
 

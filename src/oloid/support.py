@@ -25,8 +25,6 @@ from . import quadrature as quad
 
 __all__ = [
     "support_cartesian",
-    "support_spherical",
-    "width",
     "switching_angle",
     "mean_width_direct",
     "mean_width_montecarlo",
@@ -48,24 +46,11 @@ def support_cartesian(u) -> float:
     """
     a, b, c = float(u[0]), float(u[1]), float(u[2])
     norm = math.sqrt(a * a + b * b + c * c)
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:
         raise ValueError(f"direction must be a unit vector, |u| = {norm!r}")
     return max(
         -0.5 * b + math.hypot(a, b),
         0.5 * b + math.hypot(b, c),
-    )
-
-
-def support_spherical(phi: float, theta: float) -> float:
-    """Support function in the direction (cos phi sin theta, sin phi sin theta, cos theta)."""
-    st = math.sin(theta)
-    return support_cartesian((math.cos(phi) * st, math.sin(phi) * st, math.cos(theta)))
-
-
-def width(phi: float, theta: float) -> float:
-    """Width of the oloid in the given direction: h(u) + h(-u)."""
-    return support_spherical(phi, theta) + support_spherical(
-        math.pi + phi, math.pi - theta
     )
 
 
@@ -149,7 +134,7 @@ def _b_only_integrand(phi: float) -> float:
     return _branch_b_integral(math.sin(phi), math.cos(phi), 0.0, _HALF_PI)
 
 
-def mean_width_direct(tol: float = 1e-9) -> quad.QuadResult:
+def mean_width_direct(tol: float) -> quad.QuadResult:
     """Mean width of the oloid (r = 1) by direct integration over directions.
 
     Averages the support function over the first octant (the body is
@@ -277,7 +262,7 @@ def _row_norms(x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
     np.sqrt(out, out=out)
 
 
-def _width_shard(rng: np.random.Generator, count: int, support_values=None):
+def _width_shard(rng: np.random.Generator, count: int) -> tuple[float, float]:
     """(sum of w, sum of w^2) over ``count`` uniform directions u, w = h(u) + h(-u).
 
     Directions are normalized 3-component Gaussians; a zero row (probability
@@ -300,25 +285,17 @@ def _width_shard(rng: np.random.Generator, count: int, support_values=None):
         bad = norms == 0.0
         x[bad] = rng.standard_normal((int(np.count_nonzero(bad)), 3))
         _row_norms(x, norms, tmp)
-    u = np.divide(x, norms[:, None], out=x)
-    if support_values is not None:
-        w = support_values(u) + support_values(-u)
-    else:
-        ux, uy, uz = u.T
-        a = np.hypot(ux, uy, out=tmp)
-        b = np.hypot(uy, uz, out=norms)
-        t = np.multiply(uy, 0.5, out=uy)
-        h_plus = np.maximum(np.subtract(a, t, out=ux), np.add(b, t, out=uz), out=ux)
-        h_minus = np.maximum(np.add(a, t, out=uz), np.subtract(b, t, out=b), out=b)
-        w = np.add(h_plus, h_minus, out=b)
+    ux, uy, uz = np.divide(x, norms[:, None], out=x).T
+    a = np.hypot(ux, uy, out=tmp)
+    b = np.hypot(uy, uz, out=norms)
+    t = np.multiply(uy, 0.5, out=uy)
+    h_plus = np.maximum(np.subtract(a, t, out=ux), np.add(b, t, out=uz), out=ux)
+    h_minus = np.maximum(np.add(a, t, out=uz), np.subtract(b, t, out=b), out=b)
+    w = np.add(h_plus, h_minus, out=b)
     return float(np.sum(w)), float(np.sum(np.multiply(w, w, out=tmp)))
 
 
-def mean_width_montecarlo(
-    n: int,
-    seed: int,
-    support_values: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> WidthEstimate:
+def mean_width_montecarlo(n: int, seed: int) -> WidthEstimate:
     """Monte Carlo mean width: average of h(u) + h(-u) over uniform directions.
 
     Directions are normalized 3-component Gaussians.  Sampling uses a
@@ -326,13 +303,8 @@ def mean_width_montecarlo(
     reduced in shard order, so results are deterministic for a given seed.
     The shards run on up to min(cores, 8) threads; every bit of the result
     is independent of the thread count and the scheduling.
-    ``support_values`` replaces the oloid support (vectorized over an
-    (n, 3) array; used by oracles); it is called from the worker threads,
-    several at a time, so it must be thread-safe.
     """
     if n < 1000:
         raise ValueError(f"need at least 1000 samples, got {n}")
-    sums, sqsums = zip(
-        *_philox_shards(n, seed, lambda rng, count: _width_shard(rng, count, support_values))
-    )
+    sums, sqsums = zip(*_philox_shards(n, seed, _width_shard))
     return WidthEstimate(*_mean_se(n, sums, sqsums))

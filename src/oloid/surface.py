@@ -31,11 +31,8 @@ from typing import IO, NamedTuple
 __all__ = [
     "MetricCoeffs",
     "TriMesh",
-    "circle_point_a",
-    "circle_point_b",
     "surface_point",
     "metric",
-    "area_element",
     "unit_normal",
     "mean_curvature_density",
     "second_form_b22",
@@ -45,7 +42,6 @@ __all__ = [
     "mesh_volume",
     "mesh_area",
     "mesh_is_closed",
-    "euler_characteristic",
     "export_obj",
 ]
 
@@ -56,20 +52,6 @@ T_MAX = 2.0 * math.pi / 3.0
 # developable).
 B11 = 0.0
 B12 = 0.0
-
-
-def circle_point_a(t: float) -> np.ndarray:
-    """Unit-speed point of circle k_A: (sin t, -cos t - 1/2, 0)."""
-    import numpy as np
-
-    return np.array([math.sin(t), -math.cos(t) - 0.5, 0.0])
-
-
-def circle_point_b(t: float) -> np.ndarray:
-    """Unit-speed point of circle k_B: (0, cos t + 1/2, sin t)."""
-    import numpy as np
-
-    return np.array([0.0, math.cos(t) + 0.5, math.sin(t)])
 
 
 def _sheet_xyz(m, c, s):
@@ -84,17 +66,14 @@ def _sheet_xyz(m, c, s):
     return x, y, z
 
 
-def surface_point(m: float, t: float, sheet: int = 1) -> np.ndarray:
-    """Point of the boundary surface at parameters (m, t) on the given sheet.
+def surface_point(m: float, t: float) -> np.ndarray:
+    """Point of the z >= 0 sheet of the boundary surface at parameters (m, t).
 
-    ``sheet`` is +1 for the z >= 0 sheet, -1 for its mirror image.
+    The other sheet is its mirror image in the plane z = 0.
     """
     import numpy as np
 
-    if sheet not in (1, -1):
-        raise ValueError(f"sheet must be +1 or -1, got {sheet!r}")
-    x, y, z = _sheet_xyz(m, math.cos(t), math.sin(t))
-    return np.array([x, y, sheet * z])
+    return np.array(_sheet_xyz(m, math.cos(t), math.sin(t)))
 
 
 class MetricCoeffs(NamedTuple):
@@ -131,12 +110,6 @@ def metric(m: float, t: float) -> MetricCoeffs:
     return MetricCoeffs(g11=3.0, g12=math.tan(0.5 * t), g22=g22, g=g)
 
 
-def area_element(m: float, t: float) -> float:
-    """sqrt(g) at (m, t), computed from the metric determinant (>= 0)."""
-    mc = metric(m, t)
-    return math.sqrt(max(mc.g11 * mc.g22 - mc.g12 * mc.g12, 0.0))
-
-
 def unit_normal(t: float) -> np.ndarray:
     """Outward unit normal of the z >= 0 sheet; independent of m.
 
@@ -160,7 +133,7 @@ def mean_curvature_density(t: float) -> float:
     integrable singularities.
     """
     u = 1.0 + 2.0 * math.cos(t)
-    if u <= 0.0:
+    if not u > 0.0:
         raise ValueError(f"mean curvature density diverges at |t| = 2*pi/3 (t={t!r})")
     return 0.75 / math.sqrt(u)
 
@@ -174,7 +147,7 @@ def second_form_b22(m: float, t: float) -> float:
     """
     c = math.cos(t)
     u = 1.0 + 2.0 * c
-    if u <= 0.0:
+    if not u > 0.0:
         raise ValueError(f"b22 requires |t| < 2*pi/3, got t={t!r}")
     return ((3.0 * m - 2.0) * c - 1.0) / (math.sqrt(2.0) * u * math.sqrt(1.0 + c))
 
@@ -209,8 +182,6 @@ class TriMesh(NamedTuple):
 
     vertices: np.ndarray
     triangles: np.ndarray
-    n_m: int
-    n_t: int
 
 
 def _parameter_grid(n_t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -240,8 +211,8 @@ def _parameter_grid(n_t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t, c, s
 
 
-def build_mesh(n_m: int, n_t: int) -> TriMesh:
-    """Regular (n_m+1) x (n_t+1) grid per sheet, welded into a closed mesh.
+def build_mesh(n: int) -> TriMesh:
+    """Regular (n+1) × (n+1) grid per sheet, welded into a closed mesh.
 
     The sheets coincide along m = 0 (on k_A, z = 0) and along the flat
     generators t = +-2*pi/3, where z is snapped to exactly 0; duplicate
@@ -251,29 +222,27 @@ def build_mesh(n_m: int, n_t: int) -> TriMesh:
     indexing regular.  Vertices are in ascending lexicographic (x, y, z)
     order.
     """
-    if n_m < 1 or n_t < 2:
-        raise ValueError(f"need n_m >= 1 and n_t >= 2, got ({n_m}, {n_t})")
-    x, y, z, tris = _unwelded_sheets(n_m, n_t)
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    x, y, z, tris = _unwelded_sheets(n)
     vertices, inverse = _weld(x, y, z)
     for start in range(0, len(tris), _TRIANGLE_BLOCK):  # renumber in place
         block = tris[start : start + _TRIANGLE_BLOCK]
         block[...] = inverse[block]
-    return TriMesh(vertices=vertices, triangles=tris, n_m=n_m, n_t=n_t)
+    return TriMesh(vertices=vertices, triangles=tris)
 
 
-def _unwelded_sheets(
-    n_m: int, n_t: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _unwelded_sheets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Grid point coordinates x, y, z of both sheets (z >= 0 sheet first,
     each row-major in (m, t)) and their outward-wound triangles."""
     import numpy as np
 
-    m = np.linspace(0.0, 1.0, n_m + 1)
-    _, c, s = _parameter_grid(n_t)
+    m = np.linspace(0.0, 1.0, n + 1)
+    _, c, s = _parameter_grid(n)
 
     x, y, zmag = _sheet_xyz(m[:, None], c[None, :], s[None, :])
     zmag[:, 0] = 0.0  # 1 + 2 cos t vanishes analytically at |t| = 2*pi/3
-    zmag[:, n_t] = 0.0
+    zmag[:, n] = 0.0
 
     # "+ 0.0" canonicalizes -0.0 so exact-key merging and printing are
     # independent of the sheet that produced a weld vertex
@@ -282,12 +251,12 @@ def _unwelded_sheets(
     zmag = zmag.ravel()
     z = np.concatenate([zmag + 0.0, -zmag + 0.0])
 
-    plus = _sheet_triangles(n_m, n_t)
+    plus = _sheet_triangles(n)
     tris = np.empty((2 * len(plus), 3), dtype=np.int64)
     # w_m x w_t points into the body, so the (m, t)-counterclockwise split is
     # outward on the mirrored sheet and must be reversed on the z >= 0 sheet
     tris[: len(plus)] = plus[:, ::-1]
-    np.add(plus, (n_m + 1) * (n_t + 1), out=tris[len(plus) :])
+    np.add(plus, (n + 1) * (n + 1), out=tris[len(plus) :])
     return x, y, z, tris
 
 
@@ -313,22 +282,22 @@ def _weld(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.n
     return pts[new], inverse
 
 
-def _sheet_triangles(n_m: int, n_t: int) -> np.ndarray:
+def _sheet_triangles(n: int) -> np.ndarray:
     """Cell triangulation of one sheet, counterclockwise in the (m, t) plane."""
     import numpy as np
 
-    nt1 = n_t + 1
-    v00 = (np.arange(n_m)[:, None] * nt1 + np.arange(n_t)).ravel()
+    nt1 = n + 1
+    v00 = (np.arange(n)[:, None] * nt1 + np.arange(n)).ravel()
     v10, v01, v11 = v00 + nt1, v00 + 1, v00 + nt1 + 1
     tris = np.empty((2 * len(v00), 3), dtype=np.int64)
     t1, t2 = tris[: len(v00)], tris[len(v00) :]
     t1[:, 0], t1[:, 1], t1[:, 2] = v00, v10, v11
     t2[:, 0], t2[:, 1], t2[:, 2] = v00, v11, v01
     # Cells split along the diagonal of increasing m + t, except cell
-    # (0, n_t - 1): there that diagonal joins two weld vertices (k_A row and
+    # (0, n - 1): there that diagonal joins two weld vertices (k_A row and
     # flat-generator column) shared by both sheets, which would put four
     # triangles on one edge; the other diagonal has a sheet-private vertex.
-    c = n_t - 1
+    c = n - 1
     t1[c] = (v00[c], v10[c], v01[c])
     t2[c] = (v10[c], v11[c], v01[c])
     return tris
@@ -391,15 +360,6 @@ def mesh_is_closed(mesh: TriMesh) -> bool:
     pairs = keys.reshape(-1, 2)
     pairs[:, 1] -= pairs[:, 0]  # in place: the keys are this call's own
     return bool(np.all(pairs[:, 1] == 1))
-
-
-def euler_characteristic(mesh: TriMesh) -> int:
-    """V - E + F, with degenerate (repeated-index) triangles not counted as faces."""
-    import numpy as np
-
-    edges = _edge_keys(mesh) >> 1
-    n_edges = int(np.count_nonzero(edges[1:] != edges[:-1])) + (len(edges) > 0)
-    return int(len(mesh.vertices) - n_edges + len(edges) // 3)
 
 
 def _block_fsum(mesh: TriMesh, term) -> float:

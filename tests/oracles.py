@@ -56,12 +56,12 @@ def second_deriv(fn, t, h=1e-4):
 
 @lru_cache(maxsize=8)
 def cached_mesh(n):
-    return build_mesh(n, n)
+    return build_mesh(n)
 
 
-def unique_weld(n_m, n_t):
+def unique_weld(n):
     """build_mesh's (vertices, triangles) welded by np.unique(axis=0)."""
-    x, y, z, tris = surface._unwelded_sheets(n_m, n_t)
+    x, y, z, tris = surface._unwelded_sheets(n)
     verts = np.stack([x, y, z], axis=1)
     unique, inverse = np.unique(verts, axis=0, return_inverse=True)
     return unique, inverse.reshape(-1)[tris].astype(np.int64)

@@ -28,9 +28,12 @@ RNG = np.random.default_rng(7)
 
 
 def test_support_spherical_examples():
-    assert sp.support_spherical(0.0, math.pi / 2.0) == pytest.approx(1.0)
-    assert sp.support_spherical(math.pi / 2.0, math.pi / 2.0) == pytest.approx(1.5)
-    assert sp.support_spherical(0.0, 0.0) == pytest.approx(1.0)
+    # directions given by azimuth phi and polar angle theta
+    assert sp.support_cartesian(_direction(0.0, math.pi / 2.0)) == pytest.approx(1.0)
+    assert sp.support_cartesian(
+        _direction(math.pi / 2.0, math.pi / 2.0)
+    ) == pytest.approx(1.5)
+    assert sp.support_cartesian(_direction(0.0, 0.0)) == pytest.approx(1.0)
 
 
 def test_support_cartesian_examples():
@@ -43,14 +46,28 @@ def test_support_cartesian_rejects_non_unit():
         sp.support_cartesian((0.5, 0.5, 0.5))
 
 
+def _direction(phi, theta):
+    st_ = math.sin(theta)
+    return (math.cos(phi) * st_, math.sin(phi) * st_, math.cos(theta))
+
+
 def test_support_forms_agree_everywhere():
+    # The body is symmetric in x = 0 and z = 0, and (x, y, z) -> (z, -y, x)
+    # swaps its circles, so every direction maps to one with u_x, u_y,
+    # u_z >= 0 and the same support, where the first-octant branches hold.
     for _ in range(200):
         phi = float(RNG.uniform(0.0, 2.0 * math.pi))
         theta = float(RNG.uniform(0.0, math.pi))
-        st_ = math.sin(theta)
-        u = (math.cos(phi) * st_, math.sin(phi) * st_, math.cos(theta))
-        assert sp.support_spherical(phi, theta) == pytest.approx(
-            sp.support_cartesian(u), abs=1e-13
+        ux, uy, uz = _direction(phi, theta)
+        if uy < 0.0:
+            ux, uy, uz = uz, -uy, ux
+        octant_phi, octant_theta = math.atan2(uy, abs(ux)), math.acos(abs(uz))
+        branches = max(
+            sp.support_from_circle_a(octant_phi, octant_theta),
+            sp.support_from_circle_b(octant_phi, octant_theta),
+        )
+        assert branches == pytest.approx(
+            sp.support_cartesian(_direction(phi, theta)), abs=1e-13
         )
 
 
@@ -87,15 +104,21 @@ def test_support_symmetries(seed):
     assert sp.support_cartesian((u[0], u[1], -u[2])) == pytest.approx(h, abs=1e-13)
 
 
+def _width(phi, theta):
+    """h(u) + h(-u) for the direction u at spherical angles (phi, theta)."""
+    u = _direction(phi, theta)
+    return sp.support_cartesian(u) + sp.support_cartesian([-x for x in u])
+
+
 def test_width_examples_and_symmetry():
-    assert sp.width(math.pi / 2.0, math.pi / 2.0) == pytest.approx(3.0)
-    assert sp.width(0.0, math.pi / 2.0) == pytest.approx(2.0)
-    assert sp.width(0.0, 0.0) == pytest.approx(2.0)
+    assert _width(math.pi / 2.0, math.pi / 2.0) == pytest.approx(3.0)
+    assert _width(0.0, math.pi / 2.0) == pytest.approx(2.0)
+    assert _width(0.0, 0.0) == pytest.approx(2.0)
     for _ in range(50):
         phi = float(RNG.uniform(0.0, 2.0 * math.pi))
         theta = float(RNG.uniform(0.0, math.pi))
-        assert sp.width(phi, theta) == pytest.approx(
-            sp.width(math.pi + phi, math.pi - theta), abs=1e-13
+        assert _width(phi, theta) == pytest.approx(
+            _width(math.pi + phi, math.pi - theta), abs=1e-13
         )
 
 
@@ -222,10 +245,10 @@ def test_montecarlo_deterministic():
     assert a == b
 
 
-def test_montecarlo_constant_support_is_exact():
-    est = sp.mean_width_montecarlo(
-        10**4, 1, support_values=lambda u: np.ones(len(u))
-    )
+def test_montecarlo_constant_support_is_exact(monkeypatch):
+    # every direction of a shard has width 2, as for a unit support function
+    monkeypatch.setattr(sp, "_width_shard", lambda rng, count: (2.0 * count, 4.0 * count))
+    est = sp.mean_width_montecarlo(10**4, 1)
     assert est.estimate == 2.0
     assert est.std_error == 0.0
 
@@ -289,9 +312,10 @@ def test_montecarlo_bits_independent_of_thread_count(monkeypatch, cores):
     for (n, seed), bits in WIDTH_BITS.items():
         est = sp.mean_width_montecarlo(n, seed)
         assert tuple(x.hex() for x in est) == bits, (n, seed)
-    # the plain support function through the caller's support_values path
+    # the plain oracle shard through the same reducer
+    monkeypatch.setattr(sp, "_width_shard", oracles.width_shard)
     n, seed = 3 * 2**16 + 17, 7
-    est = sp.mean_width_montecarlo(n, seed, support_values=oracles.oloid_support_values)
+    est = sp.mean_width_montecarlo(n, seed)
     assert tuple(x.hex() for x in est) == WIDTH_BITS[n, seed]
 
 
@@ -336,18 +360,19 @@ def test_montecarlo_failure_stops_every_thread(monkeypatch, capfd):
     lock = threading.Lock()
     calls = []
 
-    def failing(u):
+    def failing(rng, count):
         with lock:
             calls.append(threading.get_ident())
             if len(calls) == 3:
                 raise ArithmeticError("third call")
-        return oracles.oloid_support_values(u)
+        return oracles.width_shard(rng, count)
 
+    monkeypatch.setattr(sp, "_width_shard", failing)
     before = threading.active_count()
     with pytest.raises(ArithmeticError, match="third call"):
-        sp.mean_width_montecarlo(100 * 2**16, 1, support_values=failing)
+        sp.mean_width_montecarlo(100 * 2**16, 1)
     assert threading.active_count() == before
-    # the other threads stop at their next shard boundary: 200 calls otherwise
+    # the other threads stop at their next shard boundary: 100 calls otherwise
     assert len(calls) < 40
     assert "Exception in thread" not in capfd.readouterr().err
 
@@ -356,15 +381,16 @@ def test_montecarlo_keyboard_interrupt_stops_every_thread(monkeypatch, capfd):
     force_cores(monkeypatch, 3)
     calls = []
 
-    def interrupted(u):
+    def interrupted(rng, count):
         calls.append(threading.get_ident())
         if threading.current_thread() is threading.main_thread():
             raise KeyboardInterrupt
-        return oracles.oloid_support_values(u)
+        return oracles.width_shard(rng, count)
 
+    monkeypatch.setattr(sp, "_width_shard", interrupted)
     before = threading.active_count()
     with pytest.raises(KeyboardInterrupt):
-        sp.mean_width_montecarlo(100 * 2**16, 1, support_values=interrupted)
+        sp.mean_width_montecarlo(100 * 2**16, 1)
     assert threading.active_count() == before
     assert len(calls) < 40
     assert "Exception in thread" not in capfd.readouterr().err
@@ -376,13 +402,14 @@ def test_montecarlo_thread_count(monkeypatch, cores, threads):
     seen = set()
     alive = []
 
-    def recording(u):
+    def recording(rng, count):
         seen.add(threading.get_ident())
         alive.append(threading.active_count())
-        return oracles.oloid_support_values(u)
+        return oracles.width_shard(rng, count)
 
+    monkeypatch.setattr(sp, "_width_shard", recording)
     before = threading.active_count()
-    sp.mean_width_montecarlo(20 * 2**16, 1, support_values=recording)
+    sp.mean_width_montecarlo(20 * 2**16, 1)
     assert len(seen) <= threads
     assert max(alive) == before + threads - 1
     assert threading.active_count() == before

@@ -23,17 +23,19 @@ RNG = np.random.default_rng(20240811)
 
 
 def test_circle_points():
-    assert sf.circle_point_a(0.0) == pytest.approx([0.0, -1.5, 0.0])
-    assert sf.circle_point_a(math.pi / 2.0) == pytest.approx([1.0, -0.5, 0.0])
-    assert sf.circle_point_b(0.0) == pytest.approx([0.0, 1.5, 0.0])
+    # m = 0 and m = 1 trace the generating circles k_A and k_B
+    assert sf.surface_point(0.0, 0.0) == pytest.approx([0.0, -1.5, 0.0])
+    assert sf.surface_point(0.0, math.pi / 2.0) == pytest.approx([1.0, -0.5, 0.0])
+    assert sf.surface_point(1.0, 0.0) == pytest.approx([0.0, 0.0, math.sqrt(0.75)])
 
 
 def test_circle_equations_hold_exactly():
-    for t in RNG.uniform(0.0, 2.0 * math.pi, 50):
-        xa, ya, za = sf.circle_point_a(float(t))
+    # m = 0 runs along k_A and m = 1 along k_B
+    for t in RNG.uniform(-T23, T23, 50):
+        xa, ya, za = sf.surface_point(0.0, float(t))
         assert xa * xa + (ya + 0.5) ** 2 == pytest.approx(1.0, abs=1e-15)
         assert za == 0.0
-        xb, yb, zb = sf.circle_point_b(float(t))
+        xb, yb, zb = sf.surface_point(1.0, float(t))
         assert (yb - 0.5) ** 2 + zb * zb == pytest.approx(1.0, abs=1e-15)
         assert xb == 0.0
 
@@ -43,21 +45,18 @@ def test_surface_point_boundary_incidence():
         x, y, z = sf.surface_point(0.0, float(t))
         assert abs(x * x + (y + 0.5) ** 2 - 1.0) <= 1e-13
         assert z == 0.0
-        x, y, z = sf.surface_point(1.0, float(t), sheet=-1)
+        x, y, z = sf.surface_point(1.0, float(t))
         assert abs((y - 0.5) ** 2 + z * z - 1.0) <= 1e-13
         assert x == 0.0
 
 
 def test_surface_point_apex():
     assert sf.surface_point(1.0, 0.0) == pytest.approx([0.0, 0.0, math.sqrt(3) / 2])
-    assert sf.surface_point(1.0, 0.0, sheet=-1) == pytest.approx(
-        [0.0, 0.0, -math.sqrt(3) / 2]
-    )
-
-
-def test_surface_point_rejects_bad_sheet():
-    with pytest.raises(ValueError):
-        sf.surface_point(0.5, 0.0, sheet=2)
+    # the mesh carries the other sheet, the mirror image in z = 0
+    verts = oracles.cached_mesh(8).vertices
+    for z in (math.sqrt(3) / 2, -math.sqrt(3) / 2):
+        near = np.isclose(verts, [0.0, 0.0, z], rtol=0.0, atol=1e-15)
+        assert np.any(np.all(near, axis=1))
 
 
 # --- first fundamental form -------------------------------------------------
@@ -104,11 +103,11 @@ def test_metric_matches_finite_differences():
 
 
 def test_area_element():
-    assert sf.area_element(0.0, 0.0) == pytest.approx(math.sqrt(3.0), rel=1e-15)
+    assert math.sqrt(sf.metric(0.0, 0.0).g) == pytest.approx(math.sqrt(3.0), rel=1e-15)
     for t in np.linspace(-1.5, 1.5, 9):
         c = math.cos(float(t))
         expected = math.sqrt(2.0) / math.sqrt((1.0 + c) * (1.0 + 2.0 * c))
-        assert sf.area_element(2.0 / 3.0, float(t)) == pytest.approx(
+        assert math.sqrt(sf.metric(2.0 / 3.0, float(t)).g) == pytest.approx(
             expected, rel=1e-13
         )
 
@@ -117,7 +116,7 @@ def test_area_element_m_integral_reduces_to_surface_integrand():
     from oloid.quadrature import integrate
 
     for t in (0.0, 0.5, 1.0, 1.5):
-        res = integrate(lambda m: sf.area_element(m, t), 0.0, 1.0, 1e-12)
+        res = integrate(lambda m: math.sqrt(sf.metric(m, t).g), 0.0, 1.0, 1e-12)
         c = math.cos(t)
         expected = (
             0.5 * math.sqrt(2.0) * (2.0 + c) / math.sqrt((1.0 + c) * (1.0 + 2.0 * c))
@@ -269,23 +268,24 @@ def test_jacobian_values_and_oracle():
 
 
 def test_tiny_mesh_topology():
-    mesh = sf.build_mesh(1, 2)
+    mesh = sf.build_mesh(2)
     assert sf.mesh_is_closed(mesh)
-    assert sf.euler_characteristic(mesh) == 2
+    assert oracles.euler_by_unique(mesh) == 2
 
 
-@pytest.mark.parametrize("nm,nt", [(2, 2), (3, 3), (1, 3), (5, 4), (8, 8)])
-def test_mesh_closed_for_small_grids(nm, nt):
-    mesh = sf.build_mesh(nm, nt)
+# ids name the grid as (m intervals)-(t intervals)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8], ids=lambda n: f"{n}-{n}")
+def test_mesh_closed_for_small_grids(n):
+    mesh = sf.build_mesh(n)
     assert sf.mesh_is_closed(mesh)
-    assert sf.euler_characteristic(mesh) == 2
+    assert oracles.euler_by_unique(mesh) == 2
 
 
 def test_mesh_rejects_bad_resolution():
     with pytest.raises(ValueError):
-        sf.build_mesh(0, 4)
+        sf.build_mesh(0)
     with pytest.raises(ValueError):
-        sf.build_mesh(2, 1)
+        sf.build_mesh(1)
 
 
 def test_mesh_vertices_bounded():
@@ -332,7 +332,7 @@ def _octahedron():
         ],
         dtype=np.int64,
     )
-    return sf.TriMesh(vertices=verts, triangles=tris, n_m=0, n_t=0)
+    return sf.TriMesh(vertices=verts, triangles=tris)
 
 
 def test_octahedron_reference_volume_and_area():
@@ -344,18 +344,13 @@ def test_octahedron_reference_volume_and_area():
 
 def test_mesh_volume_requires_closed_mesh():
     mesh = oracles.cached_mesh(8)
-    open_mesh = sf.TriMesh(
-        vertices=mesh.vertices,
-        triangles=mesh.triangles[:-1],
-        n_m=mesh.n_m,
-        n_t=mesh.n_t,
-    )
+    open_mesh = sf.TriMesh(vertices=mesh.vertices, triangles=mesh.triangles[:-1])
     with pytest.raises(ValueError):
         sf.mesh_volume(open_mesh)
 
 
 def test_export_obj_round_trip_and_determinism():
-    mesh = sf.build_mesh(4, 4)
+    mesh = sf.build_mesh(4)
     buf1, buf2 = io.StringIO(), io.StringIO()
     sf.export_obj(mesh, buf1)
     sf.export_obj(mesh, buf2)
@@ -375,24 +370,20 @@ def test_export_obj_round_trip_and_determinism():
 
 # --- weld, closure check and OBJ export against their straightforward forms --
 
-SMALL_GRIDS = [(1, 2), (2, 2), (3, 3), (1, 3), (5, 4), (8, 8), (7, 13)]
+SMALL_GRIDS = [2, 3, 4, 5, 7, 8, 13]
 
 
-@pytest.mark.parametrize(
-    "nm,nt", [(1, 2), (2, 2), (3, 3), (5, 4), (8, 8), (7, 13), (64, 64)]
-)
-def test_weld_matches_unique_oracle(nm, nt):
-    mesh = sf.build_mesh(nm, nt)
-    ref_vertices, ref_triangles = oracles.unique_weld(nm, nt)
+@pytest.mark.parametrize("n", SMALL_GRIDS + [64], ids=lambda n: f"{n}-{n}")
+def test_weld_matches_unique_oracle(n):
+    mesh = sf.build_mesh(n)
+    ref_vertices, ref_triangles = oracles.unique_weld(n)
     np.testing.assert_array_equal(mesh.vertices, ref_vertices)
     np.testing.assert_array_equal(mesh.triangles, ref_triangles)
     assert mesh.triangles.dtype == np.int64
 
 
 def _with_triangles(mesh, tris):
-    return sf.TriMesh(
-        vertices=mesh.vertices, triangles=tris, n_m=mesh.n_m, n_t=mesh.n_t
-    )
+    return sf.TriMesh(vertices=mesh.vertices, triangles=tris)
 
 
 def _first_real_triangle(mesh):
@@ -427,7 +418,7 @@ def _doubled(mesh):
     "broken", [_flipped, _dropped, _doubled], ids=["flipped", "dropped", "doubled"]
 )
 def test_mesh_is_closed_rejects_broken_mesh(broken):
-    for mesh in (sf.build_mesh(8, 8), _octahedron()):
+    for mesh in (sf.build_mesh(8), _octahedron()):
         bad = broken(mesh)
         assert not sf.mesh_is_closed(bad)
         with pytest.raises(ValueError):
@@ -441,7 +432,7 @@ def _repeated_directed_edges(mesh):
 
 
 def test_flipped_triangle_repeats_its_directed_edges():
-    mesh = sf.build_mesh(8, 8)
+    mesh = sf.build_mesh(8)
     assert _repeated_directed_edges(mesh) == 0
     assert _repeated_directed_edges(_flipped(mesh)) == 3
 
@@ -449,13 +440,12 @@ def test_flipped_triangle_repeats_its_directed_edges():
 @pytest.mark.parametrize(
     "grid",
     SMALL_GRIDS + [None],
-    ids=[f"{nm}x{nt}" for nm, nt in SMALL_GRIDS] + ["octahedron"],
+    ids=[f"{n}x{n}" for n in SMALL_GRIDS] + ["octahedron"],
 )
 def test_mesh_is_closed_agrees_with_oracle(grid):
-    mesh = _octahedron() if grid is None else sf.build_mesh(*grid)
+    mesh = _octahedron() if grid is None else sf.build_mesh(grid)
     for variant in (mesh, _flipped(mesh), _dropped(mesh), _doubled(mesh)):
         assert sf.mesh_is_closed(variant) == oracles.closed_by_unique(variant)
-        assert sf.euler_characteristic(variant) == oracles.euler_by_unique(variant)
     assert sf.mesh_is_closed(mesh)
 
 
@@ -476,13 +466,12 @@ def test_mesh_stages_across_small_blocks(monkeypatch):
     monkeypatch.setattr(sf, "_TRIANGLE_BLOCK", 7)
     assert sf.mesh_volume(mesh) == oracles.fsum_volume(mesh)
     assert sf.mesh_area(mesh) == oracles.fsum_area(mesh)
-    assert sf.euler_characteristic(mesh) == 2
-    rebuilt = sf.build_mesh(64, 64)  # triangles renumbered 7 at a time
+    assert sf.mesh_is_closed(mesh)
+    rebuilt = sf.build_mesh(64)  # triangles renumbered 7 at a time
     np.testing.assert_array_equal(rebuilt.triangles, mesh.triangles)
-    small = sf.build_mesh(8, 8)
+    small = sf.build_mesh(8)
     for variant in (small, _flipped(small), _dropped(small), _doubled(small)):
         assert sf.mesh_is_closed(variant) == oracles.closed_by_unique(variant)
-        assert sf.euler_characteristic(variant) == oracles.euler_by_unique(variant)
     with pytest.raises(ValueError):
         sf.mesh_volume(_dropped(small))
 
@@ -494,17 +483,17 @@ def _obj(mesh):
 
 
 def test_export_obj_matches_line_oracle():
-    mesh = sf.build_mesh(5, 7)
+    mesh = sf.build_mesh(5)
     assert _obj(mesh) == oracles.obj_text(mesh)
 
 
 def test_export_obj_matches_line_oracle_across_blocks(monkeypatch):
-    mesh = sf.build_mesh(96, 96)
+    mesh = sf.build_mesh(96)
     assert len(mesh.vertices) > sf._OBJ_BLOCK_ROWS
     assert len(mesh.triangles) > 2 * sf._OBJ_BLOCK_ROWS
     assert _obj(mesh) == oracles.obj_text(mesh)
     # block boundaries that do not divide either row count
-    small = sf.build_mesh(5, 7)
+    small = sf.build_mesh(5)
     monkeypatch.setattr(sf, "_OBJ_BLOCK_ROWS", 7)
     assert _obj(small) == oracles.obj_text(small)
 
@@ -513,8 +502,6 @@ def _vertices_only(vertices, triangles=((0, 0, 0),)):
     return sf.TriMesh(
         vertices=np.asarray(vertices, dtype=np.float64),
         triangles=np.asarray(triangles, dtype=np.int64),
-        n_m=0,
-        n_t=0,
     )
 
 
@@ -573,14 +560,14 @@ def test_export_obj_matches_benchmark_references(n):
 
 
 def test_export_obj_sha256_pinned():
-    text = _obj(sf.build_mesh(16, 16))
+    text = _obj(sf.build_mesh(16))
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
         "6443977f42bad047924a98c510b9e0bd6831d0eea4e89bb17b907f4a431149a2"
     )
 
 
 def test_export_obj_path_replaces_target(tmp_path):
-    mesh = sf.build_mesh(4, 4)
+    mesh = sf.build_mesh(4)
     out = tmp_path / "mesh.obj"
     out.write_text("old\n")
     sf.export_obj(mesh, str(out))
@@ -620,7 +607,7 @@ def test_export_obj_failed_write_keeps_target(tmp_path, monkeypatch):
     monkeypatch.setattr(sf, "_OBJ_BLOCK_ROWS", 8)
     monkeypatch.setattr(sf, "open", failing_open, raising=False)
     with pytest.raises(OSError):
-        sf.export_obj(sf.build_mesh(4, 4), str(out))
+        sf.export_obj(sf.build_mesh(4), str(out))
     assert opened[0].writes == 3  # failed mid-stream, after two blocks
     assert out.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["mesh.obj"]
