@@ -35,18 +35,18 @@ def main() -> None:
         e = sk.intersection_expectations(k, m)
         print(
             f"{name_k:>6s} {name_m:>6s} {e.mean_width / r:14.10f} "
-            f"{e.surface / r**2:14.10f} {e.volume / r**3:14.10f}"
+            f"{e.surface / r**2:14.10f} {e.v3 / r**3:14.10f}"
         )
 
-    mc = sk.mc_ball_ball_expectations(args.mc_samples, args.seed)
+    mc_v, mc_s = sk.mc_ball_ball_expectations(args.mc_samples, args.seed)
     exact = sk.intersection_expectations(biv, biv)
-    z_v = (mc.volume - exact.volume / r**3) / mc.volume_std_error
-    z_s = (mc.surface - exact.surface / r**2) / mc.surface_std_error
+    z_v = (mc_v.value - exact.v3 / r**3) / mc_v.err_est
+    z_s = (mc_s.value - exact.surface / r**2) / mc_s.err_est
     print(
         f"\nball-ball Monte Carlo ({args.mc_samples} samples, seed {args.seed}):\n"
-        f"  E[V] = {mc.volume:.7f} +- {mc.volume_std_error:.1e}  (z = {z_v:+.2f}, "
+        f"  E[V] = {mc_v.value:.7f} +- {mc_v.err_est:.1e}  (z = {z_v:+.2f}, "
         f"exact pi/6 = {math.pi / 6:.7f})\n"
-        f"  E[S] = {mc.surface:.7f} +- {mc.surface_std_error:.1e}  (z = {z_s:+.2f}, "
+        f"  E[S] = {mc_s.value:.7f} +- {mc_s.err_est:.1e}  (z = {z_s:+.2f}, "
         f"exact pi = {math.pi:.7f})"
     )
 

@@ -36,14 +36,14 @@ def main() -> None:
         ("mean_width", "direct", support.mean_width_direct(args.tol).value),
     ]
     mc = support.mean_width_montecarlo(args.mc_samples, args.seed)
-    rows.append(("mean_width", "montecarlo", mc.estimate))
+    rows.append(("mean_width", "montecarlo", mc.value))
 
     print(f"{'quantity':20s} {'route':12s} {'value':>22s} {'vs first route':>14s}")
     first: dict[str, float] = {}
     for name, route, value in rows:
         ref = first.setdefault(name, value)
         print(f"{name:20s} {route:12s} {value:22.17g} {value - ref:14.2e}")
-    print(f"\nMonte Carlo std error: {mc.std_error:.3e} ({args.mc_samples} samples)")
+    print(f"\nMonte Carlo std error: {mc.err_est:.3e} ({args.mc_samples} samples)")
     print(f"surface area equals the unit ball's 4*pi: {4 * math.pi:.17g}")
 
 

@@ -215,13 +215,12 @@ def _cmd_kinematic(args) -> int:
         print(f"computational failure: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     records = [
-        OutputRecord("I0", "kinematic", funcs.i0, None, 3),
-        OutputRecord("I1", "kinematic", funcs.i1, None, 4),
-        OutputRecord("I2", "kinematic", funcs.i2, None, 5),
-        OutputRecord("I3", "kinematic", funcs.i3, None, 6),
+        OutputRecord(f"I{j}", "kinematic", value, None, 3 + j)
+        for j, value in enumerate(funcs)
+    ] + [
         OutputRecord("E_mean_width", "kinematic", expect.mean_width, None, 1),
         OutputRecord("E_surface", "kinematic", expect.surface, None, 2),
-        OutputRecord("E_volume", "kinematic", expect.volume, None, 3),
+        OutputRecord("E_volume", "kinematic", expect.v3, None, 3),
     ]
     if args.mc_samples is not None:
         if args.pair != "ball-ball":
@@ -230,18 +229,16 @@ def _cmd_kinematic(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_FAILURE
-        mc = steiner_kinematic.mc_ball_ball_expectations(args.mc_samples, args.seed)
+        mc_v, mc_s = steiner_kinematic.mc_ball_ball_expectations(
+            args.mc_samples, args.seed
+        )
         # unit-ball sampling; radius-r values follow by exact scaling
         r2, r3 = r * r, r**3
-        z_v = (mc.volume - expect.volume / r3) / mc.volume_std_error
-        z_s = (mc.surface - expect.surface / r2) / mc.surface_std_error
+        z_v = (mc_v.value - expect.v3 / r3) / mc_v.err_est
+        z_s = (mc_s.value - expect.surface / r2) / mc_s.err_est
         records += [
-            OutputRecord(
-                "E_volume", "montecarlo", mc.volume * r3, mc.volume_std_error * r3, 3
-            ),
-            OutputRecord(
-                "E_surface", "montecarlo", mc.surface * r2, mc.surface_std_error * r2, 2
-            ),
+            OutputRecord("E_volume", "montecarlo", mc_v.value * r3, mc_v.err_est * r3, 3),
+            OutputRecord("E_surface", "montecarlo", mc_s.value * r2, mc_s.err_est * r2, 2),
             OutputRecord("E_volume", "mc_z", z_v, None, 0),
             OutputRecord("E_surface", "mc_z", z_s, None, 0),
         ]

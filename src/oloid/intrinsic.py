@@ -51,7 +51,9 @@ class IntrinsicVolumes(NamedTuple):
     """Intrinsic-volume vector (V0, V1, V2, V3) of a convex body in R^3.
 
     V0 is the Euler characteristic, V1 = 2 * mean width, V2 = surface/2,
-    V3 the volume; Vj scales as r**j under dilation by r.
+    V3 the volume; Vj scales as r**j under dilation by r.  The kinematic
+    formula's motion integrals (I0, I1, I2, I3) and the expected intrinsic
+    volumes of an intersection are vectors of this type too.
     """
 
     v0: float
@@ -112,32 +114,32 @@ def _coxeter_integrand(t: float) -> float:
 
 def _singular_route(
     f: Callable[[float], float], scale: float, tol: float
-) -> quad.QuadResult:
+) -> quad.Estimate:
     """``scale`` times the tanh-sinh integral of ``f`` over [0, 2*pi/3]."""
     r = quad.integrate_singular(f, 0.0, T_MAX, tol)
-    return quad.QuadResult(scale * r.value, scale * r.err_est, r.evals)
+    return quad.Estimate(scale * r.value, scale * r.err_est, r.evals)
 
 
-def surface_area_quadrature(tol: float) -> quad.QuadResult:
+def surface_area_quadrature(tol: float) -> quad.Estimate:
     return _singular_route(_surface_integrand, 2.0 * math.sqrt(2.0), tol)
 
 
-def volume_quadrature(tol: float) -> quad.QuadResult:
+def volume_quadrature(tol: float) -> quad.Estimate:
     return _singular_route(_volume_integrand, 2.0, tol)
 
 
-def curvature_integral_quadrature(tol: float) -> quad.QuadResult:
+def curvature_integral_quadrature(tol: float) -> quad.Estimate:
     return _singular_route(_curvature_integrand, 3.0, tol)
 
 
-def edge_integral_direct(tol: float) -> quad.QuadResult:
+def edge_integral_direct(tol: float) -> quad.Estimate:
     # smooth value but sqrt-type derivative blow-up at t = 2*pi/3, which the
     # double-exponential rule absorbs
     return _singular_route(edge_angle, 2.0, tol)
 
 
 @lru_cache(maxsize=1)
-def coxeter_like_result() -> quad.QuadResult:
+def coxeter_like_result() -> quad.Estimate:
     """Cached quadrature result (value, error estimate, evals) for the constant I."""
     return quad.integrate(_coxeter_integrand, 0.0, 0.5 * math.pi, 1e-13)
 

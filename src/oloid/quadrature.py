@@ -32,7 +32,7 @@ import math
 from typing import Callable, NamedTuple
 
 __all__ = [
-    "QuadResult",
+    "Estimate",
     "QuadratureError",
     "integrate",
     "integrate_singular",
@@ -129,11 +129,13 @@ _W21 = (
 _EVALS_PER_PANEL = len(_X10) + len(_X21)
 
 
-class QuadResult(NamedTuple):
-    """Value of a numerical integral with its error estimate.
+class Estimate(NamedTuple):
+    """A value computed numerically, with its error estimate and its cost.
 
-    ``err_est`` is absolute; ``evals`` counts integrand evaluations.
-    On success ``err_est <= max(tol, tol * |value|)``.
+    ``err_est`` is absolute.  For an integral, ``evals`` counts integrand
+    evaluations, and on success ``err_est <= max(tol, tol * |value|)``.  For
+    a Monte Carlo mean, ``err_est`` is the standard error and ``evals`` the
+    sample count.
     """
 
     value: float
@@ -144,7 +146,7 @@ class QuadResult(NamedTuple):
 class QuadratureError(RuntimeError):
     """Integration budget exhausted; ``best`` holds the estimate reached."""
 
-    def __init__(self, message: str, best: QuadResult):
+    def __init__(self, message: str, best: Estimate):
         super().__init__(message)
         self.best = best
 
@@ -170,17 +172,17 @@ def _gk_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, f
     return hi, abs(hi - lo)
 
 
-def _assemble(panels: list, evals: int) -> QuadResult:
+def _assemble(panels: list, evals: int) -> Estimate:
     # fixed summation order: panels sorted by position, exact accumulation
     ordered = sorted(panels, key=lambda p: (p[2], p[3]))
     value = math.fsum(p[4] for p in ordered)
     err = math.fsum(-p[0] for p in ordered)
-    return QuadResult(value, err, evals)
+    return Estimate(value, err, evals)
 
 
 def integrate(
     f: Callable[[float], float], a: float, b: float, tol: float
-) -> QuadResult:
+) -> Estimate:
     """Integrate ``f`` over [a, b] to ``max(tol, tol * |I|)``.
 
     Adaptive bisection: the panel with the largest error estimate (ties
@@ -225,7 +227,7 @@ def integrate(
 
 def integrate_singular(
     f: Callable[[float], float], a: float, b: float, tol: float
-) -> QuadResult:
+) -> Estimate:
     """Integrate ``f`` over (a, b) allowing integrable endpoint singularities.
 
     tanh-sinh substitution x = mid + half*tanh(pi/2 * sinh u): the
@@ -281,7 +283,7 @@ def integrate_singular(
                 else:
                     quiet = 0
             if evals >= MAX_EVALS:
-                best = QuadResult(h * math.fsum(terms), err, evals)
+                best = Estimate(h * math.fsum(terms), err, evals)
                 raise QuadratureError("evaluation budget exhausted", best)
             k += 1
         s = h * math.fsum(terms)
@@ -289,9 +291,9 @@ def integrate_singular(
             rounding = _TS_ROUNDING_ULPS * _EPS * h * math.fsum(map(abs, terms))
             err = max(abs(s - prev), rounding)
             if level >= 2 and err <= max(tol, tol * abs(s)):
-                return QuadResult(s, err, evals)
+                return Estimate(s, err, evals)
         prev = s
-    best = QuadResult(prev if prev is not None else 0.0, err, evals)
+    best = Estimate(prev if prev is not None else 0.0, err, evals)
     raise QuadratureError(
         f"tanh-sinh refinement exhausted on ({a}, {b}): err_est={err:.3e}", best
     )
@@ -303,7 +305,7 @@ def integrate2d(
     theta_lower: Callable[[float], float] | float,
     theta_upper: Callable[[float], float] | float,
     tol: float,
-) -> QuadResult:
+) -> Estimate:
     """Iterated integral of ``f(phi, theta)``: inner theta, outer phi.
 
     The theta limits may depend on phi (callables) or be constants.  The
@@ -332,4 +334,4 @@ def integrate2d(
 
     outer = integrate(outer_integrand, a, b, 0.5 * tol)
     err = outer.err_est + inner_tol * (b - a)
-    return QuadResult(outer.value, err, inner_evals)
+    return Estimate(outer.value, err, inner_evals)

@@ -1,18 +1,22 @@
 """Steiner parallel-body formulas and the principal kinematic formula in R^3.
 
-The parallel body of a convex body K at offset rho is the Minkowski sum
-K + rho*B; its volume is the Steiner polynomial in rho with the intrinsic
-volumes of K as coefficients.  The principal kinematic formula expresses
-the motion-averaged intrinsic volumes of K intersected with a rigidly
-moving body M as bilinear combinations I_0..I_3 of the two bodies'
-intrinsic-volume vectors; ratios of the I_j give expected mean width,
-surface area and volume of the intersection conditional on it being
-nonempty.
+Both are maps on intrinsic-volume vectors V = (V0, V1, V2, V3).  The
+parallel body K + rho*B has the volume of the Steiner polynomial in rho
+whose coefficients are the V_j of K.  The principal kinematic formula
+sends the vectors of a fixed body K and a rigidly moving body M to the
+vector of motion integrals
 
-The I_j are returned as plain floats at the given size r.  For equal-size
-bodies they are homogeneous of degrees 3, 4, 5, 6 in r (I_0 carries the
-translation measure; the rotation measure is normalized to 1 and
-dimensionless).
+    I_j = integral of V_j(K cap gM) over rigid motions g,   j = 0..3,
+
+each bilinear in the two vectors, and dividing by I_0 gives the vector of
+expected intrinsic volumes of the intersection conditional on it being
+nonempty, E[V_j] = I_j / I_0.  Both vectors are ``IntrinsicVolumes``, so
+E[mean width], E[surface] and E[volume] are their ``mean_width``,
+``surface`` and ``v3``.
+
+The I_j are plain floats at the given size r.  For equal-size bodies they
+are homogeneous of degrees 3, 4, 5, 6 in r (I_0 carries the translation
+measure; the rotation measure is normalized to 1 and dimensionless).
 """
 
 from __future__ import annotations
@@ -21,13 +25,11 @@ import math
 from typing import NamedTuple
 
 from .intrinsic import IntrinsicVolumes, oloid_intrinsic_volumes
+from .quadrature import Estimate
 from .support import _mean_se, _philox_shards
 
 __all__ = [
-    "KinematicFunctionals",
     "ParallelBody",
-    "Expectations",
-    "BallBallMC",
     "unit_ball_volume",
     "steiner_volume",
     "parallel_body",
@@ -140,19 +142,11 @@ def ball_intrinsic_volumes(r: float) -> IntrinsicVolumes:
     )
 
 
-class KinematicFunctionals(NamedTuple):
-    """The four motion integrals I_0..I_3 for a pair of convex bodies."""
-
-    i0: float
-    i1: float
-    i2: float
-    i3: float
-
-
 def kinematic_functionals(
     body_k: IntrinsicVolumes, body_m: IntrinsicVolumes
-) -> KinematicFunctionals:
-    """Motion integrals of the pair (fixed body_k, moving body_m) for n = 3.
+) -> IntrinsicVolumes:
+    """Motion integrals (I_0, I_1, I_2, I_3) of the pair (fixed body_k,
+    moving body_m) for n = 3:
 
         I_0 = V0 V3' + (1/2) V1 V2' + (1/2) V2 V1' + V3 V0'
         I_1 = V1 V3' + (pi/4) V2 V2' + V3 V1'
@@ -163,36 +157,27 @@ def kinematic_functionals(
     a hitting position; all four are symmetric in the two bodies.
     """
     k, m = body_k, body_m
-    return KinematicFunctionals(
-        i0=k.v0 * m.v3 + 0.5 * k.v1 * m.v2 + 0.5 * k.v2 * m.v1 + k.v3 * m.v0,
-        i1=k.v1 * m.v3 + 0.25 * math.pi * k.v2 * m.v2 + k.v3 * m.v1,
-        i2=k.v2 * m.v3 + k.v3 * m.v2,
-        i3=k.v3 * m.v3,
+    return IntrinsicVolumes(
+        k.v0 * m.v3 + 0.5 * k.v1 * m.v2 + 0.5 * k.v2 * m.v1 + k.v3 * m.v0,
+        k.v1 * m.v3 + 0.25 * math.pi * k.v2 * m.v2 + k.v3 * m.v1,
+        k.v2 * m.v3 + k.v3 * m.v2,
+        k.v3 * m.v3,
     )
-
-
-class Expectations(NamedTuple):
-    mean_width: float
-    surface: float
-    volume: float
 
 
 def intersection_expectations(
     body_k: IntrinsicVolumes, body_m: IntrinsicVolumes
-) -> Expectations:
-    """Expected mean width, surface area and volume of the intersection.
+) -> IntrinsicVolumes:
+    """Expected intrinsic volumes (1, I1/I0, I2/I0, I3/I0) of the intersection.
 
-    Conditional on the moving body hitting the fixed one:
-    E[b] = I1/(2 I0), E[S] = 2 I2/I0, E[V] = I3/I0.
+    Conditional on the moving body hitting the fixed one.  Its
+    ``mean_width``, ``surface`` and ``v3`` are E[b] = I1/(2 I0),
+    E[S] = 2 I2/I0 and E[V] = I3/I0.
     """
-    funcs = kinematic_functionals(body_k, body_m)
-    if funcs.i0 == 0.0:
+    i0, i1, i2, i3 = kinematic_functionals(body_k, body_m)
+    if i0 == 0.0:
         raise ValueError("degenerate body pair: zero motion measure")
-    return Expectations(
-        mean_width=funcs.i1 / (2.0 * funcs.i0),
-        surface=2.0 * funcs.i2 / funcs.i0,
-        volume=funcs.i3 / funcs.i0,
-    )
+    return IntrinsicVolumes(1.0, i1 / i0, i2 / i0, i3 / i0)
 
 
 def lens_volume(d: float) -> float:
@@ -211,13 +196,6 @@ def lens_surface(d: float) -> float:
     if not 0.0 <= d <= 2.0:
         raise ValueError(f"need 0 <= d <= 2, got d={d!r}")
     return 4.0 * math.pi - 2.0 * math.pi * d
-
-
-class BallBallMC(NamedTuple):
-    volume: float
-    surface: float
-    volume_std_error: float
-    surface_std_error: float
 
 
 def _ball_ball_shard(rng, count: int) -> tuple[float, float, float, float]:
@@ -244,22 +222,22 @@ def _ball_ball_shard(rng, count: int) -> tuple[float, float, float, float]:
     return v_sum, v_sq, float(np.sum(lens_s)), float(np.sum(np.multiply(lens_s, lens_s, out=sq)))
 
 
-def mc_ball_ball_expectations(n: int, seed: int) -> BallBallMC:
+def mc_ball_ball_expectations(n: int, seed: int) -> tuple[Estimate, Estimate]:
     """Monte Carlo check of the unit-ball/unit-ball intersection expectations.
 
     The rotation average is trivial for balls, so the motion average reduces
     to the center offset d distributed uniformly in the ball of radius 2
     (density proportional to d^2 in the radius).  Averaging the analytic
     lens volume and lens surface over that distribution estimates E[V] and
-    E[S].  Deterministic per seed, with the same counter-based shards as the
-    mean-width sampler: they run on up to min(cores, 8) threads, and every
-    bit of the result is independent of the thread count.
+    E[S], returned in that order, each as its mean, standard error and
+    ``n``.  Deterministic per seed, with the same counter-based shards as
+    the mean-width sampler: they run on up to min(cores, 8) threads, and
+    every bit of the result is independent of the thread count.
     """
     if n < 10_000:
         raise ValueError(f"need at least 10^4 samples, got {n}")
     v_sums, v_sq, s_sums, s_sq = zip(*_philox_shards(n, seed, _ball_ball_shard))
-    ev, se_v = _mean_se(n, v_sums, v_sq)
-    es, se_s = _mean_se(n, s_sums, s_sq)
-    return BallBallMC(
-        volume=ev, surface=es, volume_std_error=se_v, surface_std_error=se_s
+    return (
+        Estimate(*_mean_se(n, v_sums, v_sq), n),
+        Estimate(*_mean_se(n, s_sums, s_sq), n),
     )

@@ -12,23 +12,28 @@ coordinates restricted to the first octant these reduce to the two branches
     h_A = (1 - sin(phi)/2) sin(theta)
     h_B = sin(phi) sin(theta)/2 + sqrt(sin^2(phi) sin^2(theta) + cos^2(theta))
 
-whose switching curve theta = switching_angle(phi) exists for
-phi in [0, pi/6]; beyond pi/6 the k_B branch dominates everywhere.
+which cross on the switching curve
+
+    theta = xi(phi) = arccos sqrt((1 - 2 sin phi) / (2 - 2 sin phi))
+
+for phi in [0, pi/6]; beyond pi/6 the k_B branch dominates everywhere.
+The mean width b is the average of h(u) + h(-u) over the sphere, twice
+the average of h.  ``mean_width_direct`` integrates the branches over the
+octant, ``mean_width_montecarlo`` averages h(u) + h(-u) over random
+directions; both return an :class:`~oloid.quadrature.Estimate`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+import operator
+from typing import Callable
 
 from . import quadrature as quad
 
 __all__ = [
-    "support_cartesian",
-    "switching_angle",
     "mean_width_direct",
     "mean_width_montecarlo",
-    "WidthEstimate",
 ]
 
 _SHARD = 1 << 16
@@ -37,45 +42,6 @@ _SHARD = 1 << 16
 _MAX_THREADS = 8
 # The Philox key is two uint64 words, (seed, shard).
 SEED_LIMIT = 1 << 64
-
-
-def support_cartesian(u) -> float:
-    """Support function h(u) = max over the oloid of <x, u> for unit u.
-
-    ``u`` must be a unit vector to within 1e-12.
-    """
-    a, b, c = float(u[0]), float(u[1]), float(u[2])
-    norm = math.sqrt(a * a + b * b + c * c)
-    if not abs(norm - 1.0) <= 1e-12:
-        raise ValueError(f"direction must be a unit vector, |u| = {norm!r}")
-    return max(
-        -0.5 * b + math.hypot(a, b),
-        0.5 * b + math.hypot(b, c),
-    )
-
-
-def support_from_circle_a(phi: float, theta: float) -> float:
-    """Tangent-plane distance from circle k_A (first-octant branch)."""
-    return (1.0 - 0.5 * math.sin(phi)) * math.sin(theta)
-
-
-def support_from_circle_b(phi: float, theta: float) -> float:
-    """Tangent-plane distance from circle k_B (first-octant branch)."""
-    s = math.sin(phi) * math.sin(theta)
-    return 0.5 * s + math.sqrt(s * s + math.cos(theta) ** 2)
-
-
-def switching_angle(phi: float) -> float:
-    """Polar angle where the two support branches cross, for phi in [0, pi/6].
-
-    Solving branch equality for theta gives
-    arccos sqrt((1 - 2 sin phi) / (2 - 2 sin phi)).
-    """
-    if not 0.0 <= phi <= math.pi / 6.0 + 1e-15:
-        raise ValueError(f"switching angle defined for phi in [0, pi/6], got {phi!r}")
-    s = math.sin(phi)
-    ratio = max((1.0 - 2.0 * s), 0.0) / (2.0 - 2.0 * s)
-    return math.acos(math.sqrt(ratio))
 
 
 _HALF_PI = 0.5 * math.pi
@@ -134,7 +100,7 @@ def _b_only_integrand(phi: float) -> float:
     return _branch_b_integral(math.sin(phi), math.cos(phi), 0.0, _HALF_PI)
 
 
-def mean_width_direct(tol: float) -> quad.QuadResult:
+def mean_width_direct(tol: float) -> quad.Estimate:
     """Mean width of the oloid (r = 1) by direct integration over directions.
 
     Averages the support function over the first octant (the body is
@@ -145,7 +111,7 @@ def mean_width_direct(tol: float) -> quad.QuadResult:
                    + int_0^{pi/6} int_{xi}^{pi/2} h_A sin(theta)
                    + int_{pi/6}^{pi/2} int_0^{pi/2} h_B sin(theta) ]
 
-    with xi = switching_angle(phi).  Both inner theta integrals are
+    with xi = xi(phi) the switching angle.  Both inner theta integrals are
     elementary; with s = sin(phi), c = cos(phi):
 
         int h_A sin(theta) = (1 - s/2) int sin^2(theta),
@@ -171,16 +137,11 @@ def mean_width_direct(tol: float) -> quad.QuadResult:
     switching = quad.integrate(_switching_integrand, 0.25 * math.pi, _HALF_PI, part_tol)
     b_only = quad.integrate(_b_only_integrand, math.pi / 6.0, _HALF_PI, part_tol)
     scale = 4.0 / math.pi
-    return quad.QuadResult(
+    return quad.Estimate(
         scale * (switching.value + b_only.value),
         scale * (switching.err_est + b_only.err_est),
         switching.evals + b_only.evals,
     )
-
-
-class WidthEstimate(NamedTuple):
-    estimate: float
-    std_error: float
 
 
 def _philox_shards(n: int, seed: int, kernel: Callable) -> list:
@@ -195,7 +156,11 @@ def _philox_shards(n: int, seed: int, kernel: Callable) -> list:
     thread at its next shard boundary and is re-raised here once all have
     ended.
     """
-    if not 0 <= seed < SEED_LIMIT:
+    try:  # int and numpy integers; not floats, which would be truncated
+        word = operator.index(seed)
+    except TypeError:
+        word = None
+    if isinstance(seed, bool) or word is None or not 0 <= word < SEED_LIMIT:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     import os
     import threading
@@ -220,7 +185,7 @@ def _philox_shards(n: int, seed: int, kernel: Callable) -> list:
                     shard = next(unclaimed, None)
                 if shard is None:
                     return
-                key = np.array([seed, shard], dtype=np.uint64)
+                key = np.array([word, shard], dtype=np.uint64)
                 rng = np.random.Generator(np.random.Philox(key=key))
                 results[shard] = kernel(rng, min(_SHARD, n - shard * _SHARD))
         except BaseException as exc:  # re-raised below, in the calling thread
@@ -295,16 +260,17 @@ def _width_shard(rng: np.random.Generator, count: int) -> tuple[float, float]:
     return float(np.sum(w)), float(np.sum(np.multiply(w, w, out=tmp)))
 
 
-def mean_width_montecarlo(n: int, seed: int) -> WidthEstimate:
+def mean_width_montecarlo(n: int, seed: int) -> quad.Estimate:
     """Monte Carlo mean width: average of h(u) + h(-u) over uniform directions.
 
     Directions are normalized 3-component Gaussians.  Sampling uses a
     counter-based generator keyed by (seed, shard), and the shards are
     reduced in shard order, so results are deterministic for a given seed.
     The shards run on up to min(cores, 8) threads; every bit of the result
-    is independent of the thread count and the scheduling.
+    is independent of the thread count and the scheduling.  Returns the
+    mean, its standard error and ``n`` as an ``Estimate``.
     """
     if n < 1000:
         raise ValueError(f"need at least 1000 samples, got {n}")
     sums, sqsums = zip(*_philox_shards(n, seed, _width_shard))
-    return WidthEstimate(*_mean_se(n, sums, sqsums))
+    return quad.Estimate(*_mean_se(n, sums, sqsums), n)

@@ -21,6 +21,12 @@ homogeneity downstream.
 The arc of k_A covered by m = 0 is the edge curve of the convex body; its
 parametrization above is unit speed, so arc length along the edge coincides
 with the parameter t (ds = dt) and edge integrals are taken directly in t.
+
+This module holds what the package computes from the parametrization: the
+edge angle and a watertight triangle mesh with its volume, area, closure
+check and OBJ export.  The differential geometry of the sheets (metric,
+normal, second fundamental form) is the tests' reference for the
+quadrature integrands and lives with them.
 """
 
 from __future__ import annotations
@@ -29,15 +35,8 @@ import math
 from typing import IO, NamedTuple
 
 __all__ = [
-    "MetricCoeffs",
     "TriMesh",
-    "surface_point",
-    "metric",
-    "unit_normal",
-    "mean_curvature_density",
-    "second_form_b22",
     "edge_angle",
-    "jacobian_xy",
     "build_mesh",
     "mesh_volume",
     "mesh_area",
@@ -46,12 +45,6 @@ __all__ = [
 ]
 
 T_MAX = 2.0 * math.pi / 3.0
-
-# The parametrization is affine in m along the straight generators, so the
-# second fundamental form has b11 = b12 = 0 identically (the surface is
-# developable).
-B11 = 0.0
-B12 = 0.0
 
 
 def _sheet_xyz(m, c, s):
@@ -66,92 +59,6 @@ def _sheet_xyz(m, c, s):
     return x, y, z
 
 
-def surface_point(m: float, t: float) -> np.ndarray:
-    """Point of the z >= 0 sheet of the boundary surface at parameters (m, t).
-
-    The other sheet is its mirror image in the plane z = 0.
-    """
-    import numpy as np
-
-    return np.array(_sheet_xyz(m, math.cos(t), math.sin(t)))
-
-
-class MetricCoeffs(NamedTuple):
-    """First-fundamental-form coefficients at a parameter point.
-
-    g11 = <w_m, w_m>, g12 = <w_m, w_t>, g22 = <w_t, w_t>, and g is the
-    determinant g11*g22 - g12^2.  On this surface g11 = 3 identically.
-    """
-
-    g11: float
-    g12: float
-    g22: float
-    g: float
-
-
-def metric(m: float, t: float) -> MetricCoeffs:
-    """Closed-form first-fundamental-form coefficients at (m, t).
-
-    The raw g22 numerator 2(3m^2-4m+1)c^2 - (4m-3)c + 1 cancels
-    catastrophically where the surface degenerates (m = 0, |t| = 2*pi/3);
-    dividing out the vanishing factor 1 + 2c first keeps the coefficient
-    and the determinant identity consistent to near machine precision
-    across the whole parameter domain.
-    """
-    c = math.cos(t)
-    one_c = 1.0 + c
-    one_2c = 1.0 + 2.0 * c
-    mm = 1.5 * m * m
-    g22 = ((3.0 * m * m - 4.0 * m + 1.0) * c + 1.0 - mm) / one_c + mm / (
-        one_c * one_2c
-    )
-    q = (3.0 * m - 2.0) * c - 1.0
-    g = 2.0 * q * q / (one_c * one_2c)
-    return MetricCoeffs(g11=3.0, g12=math.tan(0.5 * t), g22=g22, g=g)
-
-
-def unit_normal(t: float) -> np.ndarray:
-    """Outward unit normal of the z >= 0 sheet; independent of m.
-
-    The generators t = const are straight, so the normal is constant along
-    them.  Valid for |t| < 2*pi/3.
-    """
-    import numpy as np
-
-    c = math.cos(t)
-    ch = 2.0 * math.cos(0.5 * t)
-    return np.array(
-        [math.sin(0.5 * t), -c / ch, math.sqrt(max(1.0 + 2.0 * c, 0.0)) / ch]
-    )
-
-
-def mean_curvature_density(t: float) -> float:
-    """Density of H dS per unit dm dt: 3 / (4 sqrt(1 + 2 cos t)).
-
-    Independent of m.  Diverges (integrably) as |t| -> 2*pi/3; callers
-    integrating across the full t range must treat the endpoints as
-    integrable singularities.
-    """
-    u = 1.0 + 2.0 * math.cos(t)
-    if not u > 0.0:
-        raise ValueError(f"mean curvature density diverges at |t| = 2*pi/3 (t={t!r})")
-    return 0.75 / math.sqrt(u)
-
-
-def second_form_b22(m: float, t: float) -> float:
-    """Second-fundamental-form coefficient b22 = <w_tt, n> at (m, t).
-
-    b11 and b12 vanish identically (module constants ``B11``, ``B12``).
-    The sign is relative to the unit normal of :func:`unit_normal`; on the
-    parameter domain b22 <= 0.
-    """
-    c = math.cos(t)
-    u = 1.0 + 2.0 * c
-    if not u > 0.0:
-        raise ValueError(f"b22 requires |t| < 2*pi/3, got t={t!r}")
-    return ((3.0 * m - 2.0) * c - 1.0) / (math.sqrt(2.0) * u * math.sqrt(1.0 + c))
-
-
 def edge_angle(t: float) -> float:
     """Exterior dihedral angle between the two sheets along the edge on k_A.
 
@@ -160,12 +67,6 @@ def edge_angle(t: float) -> float:
     """
     c = math.cos(t)
     return math.acos(max(-1.0, min(1.0, -c / (1.0 + c))))
-
-
-def jacobian_xy(m: float, t: float) -> float:
-    """Jacobian d(x, y)/d(m, t) of the sheet's plan-view projection."""
-    c = math.cos(t)
-    return -(1.0 + (2.0 - 3.0 * m) * c) / (1.0 + c)
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +320,8 @@ _OBJ_BLOCK_ROWS = 8192
 _OBJ_FIELD = 23
 
 
-def export_obj(mesh: TriMesh, sink: str | IO[str]) -> None:
-    """Write the mesh as Wavefront OBJ.
+def export_obj(mesh: TriMesh, path: str) -> None:
+    """Write the mesh to ``path`` as Wavefront OBJ.
 
     ``v x y z`` lines followed by 1-based ``f i j k`` lines; every line
     newline-terminated, ASCII.  Each coordinate prints exactly as
@@ -431,22 +332,19 @@ def export_obj(mesh: TriMesh, sink: str | IO[str]) -> None:
     ``_OBJ_BLOCK_ROWS`` at a time, so memory beyond the mesh is one block
     plus the table of distinct magnitudes.
 
-    A path is written atomically: the OBJ goes to ``<sink>.<pid>.tmp`` in the
-    same directory and is renamed onto ``sink`` only when complete, so a
-    failed write leaves any existing file untouched and no temporary behind.
+    The write is atomic: the OBJ goes to ``<path>.<pid>.tmp`` in the same
+    directory and is renamed onto ``path`` only when complete, so a failed
+    write leaves any existing file untouched and no temporary behind.
     """
     if len(mesh.triangles) and mesh.triangles.min() < 0:
         raise ValueError("export_obj requires nonnegative vertex indices")
-    if not isinstance(sink, str):
-        _write_obj(mesh, sink)
-        return
-    import os  # only path sinks need it; every CLI command imports this module
+    import os  # only the export needs it; every CLI command imports this module
 
-    tmp = f"{sink}.{os.getpid()}.tmp"
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="ascii", newline="\n") as fh:
             _write_obj(mesh, fh)
-        os.replace(tmp, sink)
+        os.replace(tmp, path)
     except BaseException:
         try:
             os.remove(tmp)

@@ -1,12 +1,14 @@
 """Shared independent oracles: brute-force quadrature, finite differences,
-cached meshes, the straightforward mesh weld, closure check, Euler
-characteristic, whole-mesh volume/area terms and OBJ writer, and the plain
-Monte Carlo width shard, which the library's vectorized, blockwise and
-in-place versions must reproduce exactly.
+the differential geometry of the boundary sheets and the support function
+in closed form, cached meshes, the straightforward mesh weld, closure
+check, Euler characteristic, whole-mesh volume/area terms and OBJ writer,
+and the plain Monte Carlo width shard, which the library's vectorized,
+blockwise and in-place versions must reproduce exactly.
 These deliberately avoid the library's own integration code paths."""
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +54,149 @@ def deriv_central(fn, t, h=1e-6):
 
 def second_deriv(fn, t, h=1e-4):
     return (fn(t + h) - 2.0 * fn(t) + fn(t - h)) / (h * h)
+
+
+# --- differential geometry of the z >= 0 sheet -------------------------------
+#
+# Closed forms in the parameters (m, t) of the module docstring of
+# ``oloid.surface``: the reference that the quadrature integrands of
+# ``oloid.intrinsic`` and the mesh are checked against.
+
+# The parametrization is affine in m along the straight generators, so the
+# second fundamental form has b11 = b12 = 0 identically (the surface is
+# developable).
+B11 = 0.0
+B12 = 0.0
+
+
+def surface_point(m: float, t: float) -> np.ndarray:
+    """Point of the z >= 0 sheet of the boundary surface at parameters (m, t).
+
+    The other sheet is its mirror image in the plane z = 0.
+    """
+    return np.array(surface._sheet_xyz(m, math.cos(t), math.sin(t)))
+
+
+class MetricCoeffs(NamedTuple):
+    """First-fundamental-form coefficients at a parameter point.
+
+    g11 = <w_m, w_m>, g12 = <w_m, w_t>, g22 = <w_t, w_t>, and g is the
+    determinant g11*g22 - g12^2.  On this surface g11 = 3 identically.
+    """
+
+    g11: float
+    g12: float
+    g22: float
+    g: float
+
+
+def metric(m: float, t: float) -> MetricCoeffs:
+    """Closed-form first-fundamental-form coefficients at (m, t).
+
+    The raw g22 numerator 2(3m^2-4m+1)c^2 - (4m-3)c + 1 cancels
+    catastrophically where the surface degenerates (m = 0, |t| = 2*pi/3);
+    dividing out the vanishing factor 1 + 2c first keeps the coefficient
+    and the determinant identity consistent to near machine precision
+    across the whole parameter domain.
+    """
+    c = math.cos(t)
+    one_c = 1.0 + c
+    one_2c = 1.0 + 2.0 * c
+    mm = 1.5 * m * m
+    g22 = ((3.0 * m * m - 4.0 * m + 1.0) * c + 1.0 - mm) / one_c + mm / (
+        one_c * one_2c
+    )
+    q = (3.0 * m - 2.0) * c - 1.0
+    g = 2.0 * q * q / (one_c * one_2c)
+    return MetricCoeffs(g11=3.0, g12=math.tan(0.5 * t), g22=g22, g=g)
+
+
+def unit_normal(t: float) -> np.ndarray:
+    """Outward unit normal of the z >= 0 sheet; independent of m.
+
+    The generators t = const are straight, so the normal is constant along
+    them.  Valid for |t| < 2*pi/3.
+    """
+    c = math.cos(t)
+    ch = 2.0 * math.cos(0.5 * t)
+    return np.array(
+        [math.sin(0.5 * t), -c / ch, math.sqrt(max(1.0 + 2.0 * c, 0.0)) / ch]
+    )
+
+
+def mean_curvature_density(t: float) -> float:
+    """Density of H dS per unit dm dt: 3 / (4 sqrt(1 + 2 cos t)).
+
+    Independent of m.  Diverges (integrably) as |t| -> 2*pi/3; callers
+    integrating across the full t range must treat the endpoints as
+    integrable singularities.
+    """
+    u = 1.0 + 2.0 * math.cos(t)
+    if not u > 0.0:
+        raise ValueError(f"mean curvature density diverges at |t| = 2*pi/3 (t={t!r})")
+    return 0.75 / math.sqrt(u)
+
+
+def second_form_b22(m: float, t: float) -> float:
+    """Second-fundamental-form coefficient b22 = <w_tt, n> at (m, t).
+
+    b11 and b12 vanish identically (module constants ``B11``, ``B12``).
+    The sign is relative to the unit normal of :func:`unit_normal`; on the
+    parameter domain b22 <= 0.
+    """
+    c = math.cos(t)
+    u = 1.0 + 2.0 * c
+    if not u > 0.0:
+        raise ValueError(f"b22 requires |t| < 2*pi/3, got t={t!r}")
+    return ((3.0 * m - 2.0) * c - 1.0) / (math.sqrt(2.0) * u * math.sqrt(1.0 + c))
+
+
+def jacobian_xy(m: float, t: float) -> float:
+    """Jacobian d(x, y)/d(m, t) of the sheet's plan-view projection."""
+    c = math.cos(t)
+    return -(1.0 + (2.0 - 3.0 * m) * c) / (1.0 + c)
+
+
+# --- support function ---------------------------------------------------------
+
+
+def support_cartesian(u) -> float:
+    """Support function h(u) = max over the oloid of <x, u> for unit u.
+
+    ``u`` must be a unit vector to within 1e-12.
+    """
+    a, b, c = float(u[0]), float(u[1]), float(u[2])
+    norm = math.sqrt(a * a + b * b + c * c)
+    if not abs(norm - 1.0) <= 1e-12:
+        raise ValueError(f"direction must be a unit vector, |u| = {norm!r}")
+    return max(
+        -0.5 * b + math.hypot(a, b),
+        0.5 * b + math.hypot(b, c),
+    )
+
+
+def support_from_circle_a(phi: float, theta: float) -> float:
+    """Tangent-plane distance from circle k_A (first-octant branch)."""
+    return (1.0 - 0.5 * math.sin(phi)) * math.sin(theta)
+
+
+def support_from_circle_b(phi: float, theta: float) -> float:
+    """Tangent-plane distance from circle k_B (first-octant branch)."""
+    s = math.sin(phi) * math.sin(theta)
+    return 0.5 * s + math.sqrt(s * s + math.cos(theta) ** 2)
+
+
+def switching_angle(phi: float) -> float:
+    """Polar angle where the two support branches cross, for phi in [0, pi/6].
+
+    Solving branch equality for theta gives
+    arccos sqrt((1 - 2 sin phi) / (2 - 2 sin phi)).
+    """
+    if not 0.0 <= phi <= math.pi / 6.0 + 1e-15:
+        raise ValueError(f"switching angle defined for phi in [0, pi/6], got {phi!r}")
+    s = math.sin(phi)
+    ratio = max((1.0 - 2.0 * s), 0.0) / (2.0 - 2.0 * s)
+    return math.acos(math.sqrt(ratio))
 
 
 @lru_cache(maxsize=8)

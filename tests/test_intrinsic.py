@@ -145,7 +145,7 @@ def test_mean_width_betweenness():
     for r in (0.5, 1.0, 2.0):
         assert 2.0 * r < intrinsic.mean_width(r) < 3.0 * r
     # the extreme directional widths realize the bounds
-    h = support.support_cartesian
+    h = oracles.support_cartesian
     assert h((0.0, 1.0, 0.0)) + h((0.0, -1.0, 0.0)) == pytest.approx(3.0)
     assert h((1.0, 0.0, 0.0)) + h((-1.0, 0.0, 0.0)) == pytest.approx(2.0)
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from oloid import quadrature as quad
 from oloid import support as sp
 from oloid import intrinsic
+from oloid import steiner_kinematic as sk
 
 import oracles
 
@@ -29,21 +30,21 @@ RNG = np.random.default_rng(7)
 
 def test_support_spherical_examples():
     # directions given by azimuth phi and polar angle theta
-    assert sp.support_cartesian(_direction(0.0, math.pi / 2.0)) == pytest.approx(1.0)
-    assert sp.support_cartesian(
+    assert oracles.support_cartesian(_direction(0.0, math.pi / 2.0)) == pytest.approx(1.0)
+    assert oracles.support_cartesian(
         _direction(math.pi / 2.0, math.pi / 2.0)
     ) == pytest.approx(1.5)
-    assert sp.support_cartesian(_direction(0.0, 0.0)) == pytest.approx(1.0)
+    assert oracles.support_cartesian(_direction(0.0, 0.0)) == pytest.approx(1.0)
 
 
 def test_support_cartesian_examples():
-    assert sp.support_cartesian((0.0, 0.0, 1.0)) == pytest.approx(1.0)
-    assert sp.support_cartesian((0.0, -1.0, 0.0)) == pytest.approx(1.5)
+    assert oracles.support_cartesian((0.0, 0.0, 1.0)) == pytest.approx(1.0)
+    assert oracles.support_cartesian((0.0, -1.0, 0.0)) == pytest.approx(1.5)
 
 
 def test_support_cartesian_rejects_non_unit():
     with pytest.raises(ValueError):
-        sp.support_cartesian((0.5, 0.5, 0.5))
+        oracles.support_cartesian((0.5, 0.5, 0.5))
 
 
 def _direction(phi, theta):
@@ -63,11 +64,11 @@ def test_support_forms_agree_everywhere():
             ux, uy, uz = uz, -uy, ux
         octant_phi, octant_theta = math.atan2(uy, abs(ux)), math.acos(abs(uz))
         branches = max(
-            sp.support_from_circle_a(octant_phi, octant_theta),
-            sp.support_from_circle_b(octant_phi, octant_theta),
+            oracles.support_from_circle_a(octant_phi, octant_theta),
+            oracles.support_from_circle_b(octant_phi, octant_theta),
         )
         assert branches == pytest.approx(
-            sp.support_cartesian(_direction(phi, theta)), abs=1e-13
+            oracles.support_cartesian(_direction(phi, theta)), abs=1e-13
         )
 
 
@@ -79,7 +80,7 @@ def test_support_against_brute_force_circle_oracle():
         u = RNG.standard_normal(3)
         u /= np.linalg.norm(u)
         brute = max(float(np.max(pa @ u)), float(np.max(pb @ u)))
-        assert abs(sp.support_cartesian(u) - brute) <= 1e-6
+        assert abs(oracles.support_cartesian(u) - brute) <= 1e-6
 
 
 def test_support_dominates_mesh_vertices():
@@ -87,7 +88,7 @@ def test_support_dominates_mesh_vertices():
     for _ in range(100):
         u = RNG.standard_normal(3)
         u /= np.linalg.norm(u)
-        assert float(np.max(verts @ u)) <= sp.support_cartesian(u) + 1e-9
+        assert float(np.max(verts @ u)) <= oracles.support_cartesian(u) + 1e-9
 
 
 @settings(max_examples=200)
@@ -99,15 +100,15 @@ def test_support_symmetries(seed):
     if n < 1e-6:
         return
     u /= n
-    h = sp.support_cartesian(u)
-    assert sp.support_cartesian((-u[0], u[1], u[2])) == pytest.approx(h, abs=1e-13)
-    assert sp.support_cartesian((u[0], u[1], -u[2])) == pytest.approx(h, abs=1e-13)
+    h = oracles.support_cartesian(u)
+    assert oracles.support_cartesian((-u[0], u[1], u[2])) == pytest.approx(h, abs=1e-13)
+    assert oracles.support_cartesian((u[0], u[1], -u[2])) == pytest.approx(h, abs=1e-13)
 
 
 def _width(phi, theta):
     """h(u) + h(-u) for the direction u at spherical angles (phi, theta)."""
     u = _direction(phi, theta)
-    return sp.support_cartesian(u) + sp.support_cartesian([-x for x in u])
+    return oracles.support_cartesian(u) + oracles.support_cartesian([-x for x in u])
 
 
 def test_width_examples_and_symmetry():
@@ -126,31 +127,31 @@ def test_width_examples_and_symmetry():
 
 
 def test_switching_angle_values():
-    assert sp.switching_angle(0.0) == pytest.approx(math.pi / 4.0, rel=1e-15)
-    assert abs(sp.switching_angle(math.pi / 6.0) - math.pi / 2.0) <= 1e-7
+    assert oracles.switching_angle(0.0) == pytest.approx(math.pi / 4.0, rel=1e-15)
+    assert abs(oracles.switching_angle(math.pi / 6.0) - math.pi / 2.0) <= 1e-7
     with pytest.raises(ValueError):
-        sp.switching_angle(-0.01)
+        oracles.switching_angle(-0.01)
     with pytest.raises(ValueError):
-        sp.switching_angle(1.0)
+        oracles.switching_angle(1.0)
 
 
 def test_branch_equality_on_switching_curve():
     for phi in np.linspace(0.0, math.pi / 6.0, 50):
         phi = float(phi)
-        th = sp.switching_angle(phi)
+        th = oracles.switching_angle(phi)
         assert abs(
-            sp.support_from_circle_a(phi, th) - sp.support_from_circle_b(phi, th)
+            oracles.support_from_circle_a(phi, th) - oracles.support_from_circle_b(phi, th)
         ) <= 1e-12
 
 
 def test_piecewise_max_consistency():
     for phi in np.linspace(0.0, math.pi / 6.0 - 1e-6, 20):
         phi = float(phi)
-        xi = sp.switching_angle(phi)
+        xi = oracles.switching_angle(phi)
         for theta in np.linspace(0.0, math.pi / 2.0, 40):
             theta = float(theta)
-            a = sp.support_from_circle_a(phi, theta)
-            b = sp.support_from_circle_b(phi, theta)
+            a = oracles.support_from_circle_a(phi, theta)
+            b = oracles.support_from_circle_b(phi, theta)
             if theta > xi + 1e-9:
                 assert a >= b - 1e-12
             elif theta < xi - 1e-9:
@@ -159,7 +160,7 @@ def test_piecewise_max_consistency():
         phi = float(phi)
         for theta in np.linspace(0.0, math.pi / 2.0, 40):
             theta = float(theta)
-            assert sp.support_from_circle_b(phi, theta) >= sp.support_from_circle_a(
+            assert oracles.support_from_circle_b(phi, theta) >= oracles.support_from_circle_a(
                 phi, theta
             ) - 1e-12
 
@@ -200,13 +201,13 @@ def test_inner_closed_forms_match_quadrature(phi):
     s, c = math.sin(phi), math.cos(phi)
 
     def a_integrand(theta):
-        return sp.support_from_circle_a(phi, theta) * math.sin(theta)
+        return oracles.support_from_circle_a(phi, theta) * math.sin(theta)
 
     def b_integrand(theta):
-        return sp.support_from_circle_b(phi, theta) * math.sin(theta)
+        return oracles.support_from_circle_b(phi, theta) * math.sin(theta)
 
     half_pi = math.pi / 2
-    xi = sp.switching_angle(phi) if phi <= math.pi / 6 else half_pi
+    xi = oracles.switching_angle(phi) if phi <= math.pi / 6 else half_pi
     cases = [
         (sp._branch_b_integral(s, c, 0.0, half_pi), b_integrand, 0.0, half_pi),
         (sp._branch_a_integral(s, 0.0, half_pi), a_integrand, 0.0, half_pi),
@@ -235,8 +236,8 @@ def test_branch_b_integral_at_the_pole():
 def test_montecarlo_within_three_sigma():
     for seed in (7, 42):
         est = sp.mean_width_montecarlo(10**6, seed)
-        assert abs(est.estimate - 2.190676966) < 3.0 * est.std_error
-        assert est.std_error < 1e-3
+        assert abs(est.value - 2.190676966) < 3.0 * est.err_est
+        assert est.err_est < 1e-3
 
 
 def test_montecarlo_deterministic():
@@ -249,8 +250,8 @@ def test_montecarlo_constant_support_is_exact(monkeypatch):
     # every direction of a shard has width 2, as for a unit support function
     monkeypatch.setattr(sp, "_width_shard", lambda rng, count: (2.0 * count, 4.0 * count))
     est = sp.mean_width_montecarlo(10**4, 1)
-    assert est.estimate == 2.0
-    assert est.std_error == 0.0
+    assert est.value == 2.0
+    assert est.err_est == 0.0
 
 
 def test_montecarlo_validates_arguments():
@@ -259,9 +260,24 @@ def test_montecarlo_validates_arguments():
     with pytest.raises(ValueError):
         sp.mean_width_montecarlo(10**4, -1)
     # the seed is one uint64 word of the Philox key
-    assert math.isfinite(sp.mean_width_montecarlo(1000, 2**64 - 1).estimate)
+    assert math.isfinite(sp.mean_width_montecarlo(1000, 2**64 - 1).value)
     with pytest.raises(ValueError):
         sp.mean_width_montecarlo(1000, 2**64)
+
+
+@pytest.mark.parametrize(
+    "sampler, n",
+    [(sp.mean_width_montecarlo, 1000), (sk.mc_ball_ball_expectations, 10**4)],
+    ids=["mean_width", "ball_ball"],
+)
+def test_seed_must_be_an_integer(sampler, n):
+    # a float or a bool would be truncated into the Philox key as another seed
+    for seed in (1.5, 1.0, True, False, "1", None):
+        with pytest.raises(ValueError):
+            sampler(n, seed)
+    # numpy integers are integers: same key, same bits (repr round-trips floats)
+    assert repr(sampler(n, np.uint64(7))) == repr(sampler(n, 7))
+    assert repr(sampler(n, np.int64(2**63 - 1))) == repr(sampler(n, 2**63 - 1))
 
 
 def test_three_routes_mutually_consistent():
@@ -269,12 +285,12 @@ def test_three_routes_mutually_consistent():
     direct = sp.mean_width_direct(1e-9).value
     mc = sp.mean_width_montecarlo(10**6, 7)
     assert abs(direct - curvature) <= 1e-8
-    assert abs(mc.estimate - curvature) <= 3.0 * mc.std_error
+    assert abs(mc.value - curvature) <= 3.0 * mc.err_est
 
 
 # --- Monte Carlo shards and their threads -------------------------------------
 
-# float.hex of (estimate, std_error) at (n, seed), captured from the sampler
+# float.hex of (value, err_est) at (n, seed), captured from the sampler
 # when it ran its shards one after another on one thread: the minimum n, n
 # below one shard, a multiple of the shard size, a partial last shard, and
 # many shards
@@ -311,12 +327,13 @@ def test_montecarlo_bits_independent_of_thread_count(monkeypatch, cores):
     force_cores(monkeypatch, cores)
     for (n, seed), bits in WIDTH_BITS.items():
         est = sp.mean_width_montecarlo(n, seed)
-        assert tuple(x.hex() for x in est) == bits, (n, seed)
+        assert (est.value.hex(), est.err_est.hex()) == bits, (n, seed)
+        assert est.evals == n
     # the plain oracle shard through the same reducer
     monkeypatch.setattr(sp, "_width_shard", oracles.width_shard)
     n, seed = 3 * 2**16 + 17, 7
     est = sp.mean_width_montecarlo(n, seed)
-    assert tuple(x.hex() for x in est) == WIDTH_BITS[n, seed]
+    assert (est.value.hex(), est.err_est.hex()) == WIDTH_BITS[n, seed]
 
 
 @pytest.mark.parametrize("count", (1000, 2**16 - 1, 2**16))
