@@ -4,7 +4,9 @@ Three entry points:
 
 * :func:`integrate` -- adaptive bisection driven by a nested pair of
   Gauss-Legendre rules (10 and 21 points); the per-panel error estimate is
-  the difference between the two rules.
+  the difference between the two rules.  The summed estimate is floored at
+  ``eps * sum |panel values|``, the rounding error of the panel sums, so a
+  target below that floor is refused at once rather than after the budget.
 * :func:`integrate_singular` -- tanh-sinh (double exponential) rule for
   integrands with integrable power-type singularities at the endpoints.
   The integrand is never evaluated exactly at an endpoint, and abscissas
@@ -172,12 +174,16 @@ def _gk_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, f
     return hi, abs(hi - lo)
 
 
-def _assemble(panels: list, evals: int) -> Estimate:
-    # fixed summation order: panels sorted by position, exact accumulation
-    ordered = sorted(panels, key=lambda p: (p[2], p[3]))
-    value = math.fsum(p[4] for p in ordered)
-    err = math.fsum(-p[0] for p in ordered)
-    return Estimate(value, err, evals)
+def _sums(panels: list) -> tuple[float, float, float]:
+    """Value, error estimate and rounding floor ``eps * sum |value|`` of the panels.
+
+    fsum is correctly rounded, so the sums do not depend on the panels' order.
+    """
+    return (
+        math.fsum(p[4] for p in panels),
+        math.fsum(-p[0] for p in panels),
+        _EPS * math.fsum(abs(p[4]) for p in panels),
+    )
 
 
 def integrate(
@@ -189,7 +195,9 @@ def integrate(
     broken by creation order, so results are deterministic) is split until
     the summed estimates meet the target.  Budget: ``MAX_PANELS`` panels or
     ``MAX_EVALS`` evaluations, whichever comes first; exceeding it raises
-    :class:`QuadratureError`.
+    :class:`QuadratureError`.  ``err_est`` is never below the rounding floor
+    ``eps * sum |panel values|``, and a target below that floor raises
+    :class:`QuadratureError` as soon as the floor alone exceeds it.
     """
     _check_args(a, b, tol)
     v, e = _gk_panel(f, a, b)
@@ -197,22 +205,29 @@ def integrate(
     heap = [(-e, 0, a, b, v)]
     counter = 1
     evals = _EVALS_PER_PANEL
-    run_v, run_e = v, e
+    run_v, run_e, run_floor = v, e, _EPS * abs(v)
     while True:
-        if run_e <= max(tol, tol * abs(run_v)):
-            res = _assemble(heap, evals)
-            if res.err_est <= max(tol, tol * abs(res.value)):
-                return res
-            # running sums drifted; resync and keep refining
-            run_v, run_e = res.value, res.err_est
+        target = max(tol, tol * abs(run_v))
+        exhausted = len(heap) >= MAX_PANELS or evals >= MAX_EVALS
+        if run_e <= target or run_floor > target or exhausted:
+            # resync the running sums, which drift, before deciding
+            run_v, run_e, run_floor = _sums(heap)
+            target = max(tol, tol * abs(run_v))
+            best = Estimate(run_v, max(run_e, run_floor), evals)
+            if best.err_est <= target:
+                return best
+            if run_floor > target or exhausted:
+                reason = (
+                    "target below the rounding floor"
+                    if run_floor > target
+                    else "no convergence within budget"
+                )
+                raise QuadratureError(
+                    f"{reason} on [{a}, {b}]: err_est={best.err_est:.3e} "
+                    f"after {evals} evaluations",
+                    best,
+                )
             continue
-        if len(heap) >= MAX_PANELS or evals >= MAX_EVALS:
-            best = _assemble(heap, evals)
-            raise QuadratureError(
-                f"no convergence within budget on [{a}, {b}]: "
-                f"err_est={best.err_est:.3e} after {best.evals} evaluations",
-                best,
-            )
         neg_e, _, pa, pb, pv = heapq.heappop(heap)
         pm = 0.5 * (pa + pb)
         v1, e1 = _gk_panel(f, pa, pm)
@@ -223,6 +238,7 @@ def integrate(
         counter += 2
         run_v += v1 + v2 - pv
         run_e += e1 + e2 + neg_e
+        run_floor += _EPS * (abs(v1) + abs(v2) - abs(pv))
 
 
 def integrate_singular(

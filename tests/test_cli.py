@@ -230,6 +230,9 @@ def test_mesh_tiny_resolution(tmp_path):
 def test_mesh_resolution_too_small_is_usage_error(tmp_path):
     proc = run_cli("mesh", "--resolution", "1", "--out", str(tmp_path / "x.obj"))
     assert proc.returncode == 64
+    # the error comes from the subcommand's parser, under its own usage line
+    assert proc.stderr.startswith("usage: oloid mesh")
+    assert "--resolution must be at least 2" in proc.stderr
 
 
 def test_mesh_resolution_above_cap_is_usage_error(tmp_path):
@@ -245,7 +248,7 @@ def test_mesh_resolution_cap_is_accepted_and_documented(capsys):
     # validation only: a 1024 mesh is never built here
     parser = cli._build_parser()
     args = parser.parse_args(["mesh", "--resolution", "1024", "--out", "x.obj"])
-    cli._validate(parser, args)
+    assert args.resolution == 1024
     with pytest.raises(SystemExit):
         parser.parse_args(["mesh", "--help"])
     assert "2..1024" in capsys.readouterr().out
@@ -387,6 +390,7 @@ def test_non_finite_input_is_usage_error(argv):
         ["constants", "--radius", "1e-200"],  # r**2 and r**3 underflow to 0
         ["parallel", "--radius", "1e-320", "--rho", "0"],  # S, V -> 0, M subnormal
         ["constants", "--radius", "1e-103"],  # V3 = 3.05e-309 is subnormal
+        ["constants", "--tol", "1e-16"],  # below the quadrature rounding floor
     ],
 )
 def test_out_of_range_result_is_computational_failure(argv):
@@ -410,15 +414,12 @@ def test_seed_beyond_philox_key_is_usage_error():
 def test_seed_range_limits_by_validation():
     parser = cli._build_parser()
     for seed, ok in ((2**64 - 1, True), (2**64, False), (-1, False)):
-        args = parser.parse_args(
-            ["kinematic", "--pair", "ball-ball", "--mc-samples", "10000",
-             "--seed", str(seed)]
-        )
+        argv = ["kinematic", "--pair", "ball-ball", "--mc-samples", "10000", "--seed", str(seed)]
         if ok:
-            cli._validate(parser, args)
+            assert parser.parse_args(argv).seed == seed
         else:
             with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
-                cli._validate(parser, args)
+                parser.parse_args(argv)
             assert exc.value.code == 64
 
 
@@ -426,15 +427,10 @@ def test_mc_samples_cap_by_validation_and_documented(capsys):
     # validation only: no sampler runs here
     parser = cli._build_parser()
     cap = cli.MAX_MC_SAMPLES
-    args = parser.parse_args(
-        ["kinematic", "--pair", "ball-ball", "--mc-samples", str(cap)]
-    )
-    cli._validate(parser, args)
-    args = parser.parse_args(
-        ["kinematic", "--pair", "ball-ball", "--mc-samples", str(cap + 1)]
-    )
+    args = parser.parse_args(["kinematic", "--pair", "ball-ball", "--mc-samples", str(cap)])
+    assert args.mc_samples == cap
     with pytest.raises(SystemExit) as exc:
-        cli._validate(parser, args)
+        parser.parse_args(["kinematic", "--pair", "ball-ball", "--mc-samples", str(cap + 1)])
     assert exc.value.code == 64
     assert f"--mc-samples must be at most {cap}" in capsys.readouterr().err
     with pytest.raises(SystemExit):

@@ -1,10 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oloid import intrinsic, quadrature
+from oloid import intrinsic, quadrature, support
 from oloid.quadrature import (
     QuadratureError,
     integrate,
@@ -215,3 +216,47 @@ def test_singular_target_below_rounding_is_refused():
     best = exc.value.best
     assert best.value == pytest.approx(math.e - 1.0, rel=1e-15)
     assert best.err_est > 1e-17
+
+
+_GK_ROUTES = {
+    "coxeter": lambda tol: integrate(intrinsic._coxeter_integrand, 0.0, 0.5 * math.pi, tol),
+    "mean_width_direct": support.mean_width_direct,
+}
+
+
+@pytest.fixture(scope="module")
+def gk_references():
+    """40-digit mpmath values of the Coxeter-like integral I and the mean width."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        i = mp.quad(lambda t: mp.acos(mp.cos(t) / (1 + mp.cos(t))), [0, mp.pi / 2])
+        k = mp.ellipk(mp.mpf(3) / 4)  # mpmath takes the parameter m = k^2
+        b = (3 * k + 3 * mp.pi**2 / 2 - 4 * i) / (2 * mp.pi)
+    return mp, {"coxeter": i, "mean_width_direct": b}
+
+
+@pytest.mark.parametrize(
+    "tol", [1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15, 5e-16, 3e-16, 2e-16]
+)
+@pytest.mark.parametrize("route", sorted(_GK_ROUTES))
+def test_integrate_err_est_covers_true_error_or_refuses(gk_references, route, tol):
+    # the 10/21-point estimate alone fell below the rounding error of the
+    # panel sums at tol 5e-16 and 3e-16 (mean width: 4.2e-16 and 3.0e-16
+    # against a true error of 4.85e-16)
+    mp, refs = gk_references
+    try:
+        res = _GK_ROUTES[route](tol)
+    except QuadratureError:
+        return
+    with mp.workdps(40):
+        assert mp.mpf(res.err_est) >= abs(mp.mpf(res.value) - refs[route])
+
+
+def test_integrate_target_below_rounding_floor_is_refused_at_once():
+    # before the floor, this ran 2,031,585 evaluations (several seconds)
+    start = time.perf_counter()
+    with pytest.raises(QuadratureError) as exc:
+        support.mean_width_direct(1e-16)
+    assert time.perf_counter() - start < 0.05
+    assert "rounding floor" in str(exc.value)
+    assert exc.value.best.evals < 100
