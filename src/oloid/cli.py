@@ -166,6 +166,8 @@ def _cmd_parallel(args) -> int:
 
 
 def _cmd_kinematic(args) -> int:
+    if args.mc_samples is not None and args.pair != "ball-ball":
+        raise ValueError(f"Monte Carlo oracle is only available for ball-ball, not {args.pair}")
     r = args.radius
     oloid_iv = intrinsic.oloid_intrinsic_volumes(r)
     ball_iv = steiner_kinematic.ball_intrinsic_volumes(r)
@@ -183,10 +185,6 @@ def _cmd_kinematic(args) -> int:
         OutputRecord("E_volume", "kinematic", expect.v3, None, 3),
     ]
     if args.mc_samples is not None:
-        if args.pair != "ball-ball":
-            unsupported = f"Monte Carlo oracle is only available for ball-ball, not {args.pair}"
-            print(unsupported, file=sys.stderr)
-            return EXIT_FAILURE
         mc_v, mc_s = steiner_kinematic.mc_ball_ball_expectations(args.mc_samples, args.seed)
         # unit-ball sampling; radius-r values follow by exact scaling
         r2, r3 = r * r, r**3

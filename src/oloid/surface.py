@@ -24,9 +24,11 @@ with the parameter t (ds = dt) and edge integrals are taken directly in t.
 
 This module holds what the package computes from the parametrization: the
 edge angle and a watertight triangle mesh with its volume, area, closure
-check and OBJ export.  The differential geometry of the sheets (metric,
-normal, second fundamental form) is the tests' reference for the
-quadrature integrands and lives with them.
+check and OBJ export; the export formats each distinct |coordinate| and
+each index once, and raises on an index outside the mesh.  The
+differential geometry of the sheets (metric, normal, second fundamental
+form) is the tests' reference for the quadrature integrands and lives
+with them.
 """
 
 from __future__ import annotations
@@ -85,8 +87,8 @@ class TriMesh(NamedTuple):
     triangles: np.ndarray
 
 
-def _parameter_grid(n_t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Graded t grid on [-T_MAX, T_MAX] with t[n_t - j] == -t[j] exactly.
+def _parameter_grid(n_t: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos t and sin t on a graded t grid with t[n_t - j] == -t[j] exactly.
 
     The grid is regular in an auxiliary parameter s, mapped through
     t = T_MAX * sin(pi*s/2).  The map's derivative vanishes at the ends,
@@ -107,9 +109,7 @@ def _parameter_grid(n_t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         t[j] = v
         t[n_t - j] = -v
     ta = np.abs(t)
-    c = np.cos(ta)
-    s = np.where(t < 0.0, -np.sin(ta), np.sin(ta))
-    return t, c, s
+    return np.cos(ta), np.where(t < 0.0, -np.sin(ta), np.sin(ta))
 
 
 def build_mesh(n: int) -> TriMesh:
@@ -126,7 +126,7 @@ def build_mesh(n: int) -> TriMesh:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     x, y, z, tris = _unwelded_sheets(n)
-    vertices, inverse = _weld(x, y, z)
+    vertices, inverse = _distinct_rows(x, y, z)
     for start in range(0, len(tris), _TRIANGLE_BLOCK):  # renumber in place
         block = tris[start : start + _TRIANGLE_BLOCK]
         block[...] = inverse[block]
@@ -139,7 +139,7 @@ def _unwelded_sheets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     import numpy as np
 
     m = np.linspace(0.0, 1.0, n + 1)
-    _, c, s = _parameter_grid(n)
+    c, s = _parameter_grid(n)
 
     x, y, zmag = _sheet_xyz(m[:, None], c[None, :], s[None, :])
     zmag[:, 0] = 0.0  # 1 + 2 cos t vanishes analytically at |t| = 2*pi/3
@@ -161,26 +161,26 @@ def _unwelded_sheets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     return x, y, z, tris
 
 
-def _weld(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge points with identical coordinates.
-
-    Returns the distinct points in ascending lexicographic (x, y, z) order
-    and the map from each input point to its row there: the result of
-    ``np.unique(points, axis=0, return_inverse=True)``, found with one
-    lexsort, an adjacent-row comparison and a running count.
+def _distinct_rows(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of the equal-length ``columns``, ascending
+    lexicographically in a (rows, len(columns)) float64 array, and the int64
+    map from each input row to its row there, as ``np.unique(axis=0,
+    return_inverse=True)`` gives them but with each NaN a row of its own.
+    One lexsort, an adjacent-row comparison and a running count: np.unique
+    would import numpy.ma, a fixed cost on every request.
     """
     import numpy as np
 
-    order = np.lexsort((z, y, x))
-    pts = np.empty((len(order), 3))
-    for k, coord in enumerate((x, y, z)):
-        pts[:, k] = coord[order]
-    new = np.empty(len(pts), dtype=bool)
-    new[0] = True
-    np.any(pts[1:] != pts[:-1], axis=1, out=new[1:])
-    inverse = np.empty(len(pts), dtype=np.int64)
+    order = np.lexsort(columns[::-1])
+    rows = np.empty((len(order), len(columns)))
+    for k, column in enumerate(columns):
+        rows[:, k] = column[order]
+    new = np.empty(len(rows), dtype=bool)
+    new[:1] = True
+    np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
+    inverse = np.empty(len(rows), dtype=np.int64)
     inverse[order] = np.cumsum(new) - 1
-    return pts[new], inverse
+    return rows[new], inverse
 
 
 def _sheet_triangles(n: int) -> np.ndarray:
@@ -327,17 +327,20 @@ def export_obj(mesh: TriMesh, path: str) -> None:
     newline-terminated, ASCII.  Each coordinate prints exactly as
     ``f"{x:.16e}"`` (17 significant digits; ``-0.0`` keeps its sign, ``nan``
     has none) and each index as ``f"{i}"``, so output is byte-identical
-    across runs for identical meshes.  Each distinct |coordinate| is
-    formatted once; the lines are then assembled and written
-    ``_OBJ_BLOCK_ROWS`` at a time, so memory beyond the mesh is one block
-    plus the table of distinct magnitudes.
+    across runs for identical meshes.  Each distinct |coordinate| and each
+    index 1..len(vertices) is formatted once into a text table; the lines
+    are gathered from the tables and written ``_OBJ_BLOCK_ROWS`` at a time,
+    so memory beyond the mesh is one block plus the tables.  A triangle
+    index outside 0..len(vertices) - 1 raises ValueError before any file
+    is created.
 
     The write is atomic: the OBJ goes to ``<path>.<pid>.tmp`` in the same
     directory and is renamed onto ``path`` only when complete, so a failed
     write leaves any existing file untouched and no temporary behind.
     """
-    if len(mesh.triangles) and mesh.triangles.min() < 0:
-        raise ValueError("export_obj requires nonnegative vertex indices")
+    f = mesh.triangles
+    if len(f) and not 0 <= f.min() <= f.max() < len(mesh.vertices):
+        raise ValueError("export_obj requires vertex indices in 0..len(vertices) - 1")
     import os  # only the export needs it; every CLI command imports this module
 
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -353,73 +356,55 @@ def export_obj(mesh: TriMesh, path: str) -> None:
         raise
 
 
-def _obj_lines(tag: str, fields: np.ndarray, keep: np.ndarray) -> str:
+def _text_table(values: np.ndarray, spec: str, width: int) -> np.ndarray:
+    """The ``%{spec}`` bytes of each of ``values``, left-aligned in ``width``
+    columns padded by spaces: a (len(values), width) uint8 array."""
+    import numpy as np
+
+    table = np.empty((len(values), width), dtype=np.uint8)
+    for start in range(0, len(values), _OBJ_BLOCK_ROWS):
+        chunk = values[start : start + _OBJ_BLOCK_ROWS].tolist()
+        text = f"%-{width}{spec}" * len(chunk) % tuple(chunk)
+        table[start : start + len(chunk)] = np.frombuffer(
+            text.encode("ascii"), dtype=np.uint8
+        ).reshape(-1, width)
+    return table
+
+
+def _obj_lines(tag: str, fields: np.ndarray) -> str:
     """One newline-terminated line ``tag f0 f1 f2`` per row of the
-    (rows, 3, width) uint8 ``fields``, each field cut to the bytes where
-    ``keep`` is True."""
+    (rows, 3, width) uint8 ``fields``, every space inside a field dropped."""
     import numpy as np
 
     n, k, w = fields.shape
     out = np.empty((n, k * (w + 1) + 2), dtype=np.uint8)
-    kept = np.ones(out.shape, dtype=bool)
     out[:, 0], out[:, -1] = ord(tag), ord("\n")
     body = out[:, 1:-1].reshape(n, k, w + 1)
     body[..., 0] = ord(" ")
     body[..., 1:] = fields
-    kept[:, 1:-1].reshape(n, k, w + 1)[..., 1:] = keep
+    kept = out != ord(" ")
+    kept[:, 1 : -1 : w + 1] = True  # the separators
     return out[kept].tobytes().decode("ascii")
-
-
-def _magnitude_table(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct |values| of ``column`` in ascending order, and the ``%.16e``
-    bytes of each, left-aligned in ``_OBJ_FIELD`` columns padded by spaces."""
-    import numpy as np
-
-    # sort and adjacent comparison: np.unique would import numpy.ma, a fixed
-    # cost on every request
-    mags = np.abs(column)
-    mags.sort()
-    new = np.ones(len(mags), dtype=bool)
-    np.not_equal(mags[1:], mags[:-1], out=new[1:])
-    mags = mags[new]
-    table = np.empty((len(mags), _OBJ_FIELD), dtype=np.uint8)
-    for start in range(0, len(mags), _OBJ_BLOCK_ROWS):
-        chunk = mags[start : start + _OBJ_BLOCK_ROWS].tolist()
-        text = f"%-{_OBJ_FIELD}.16e" * len(chunk) % tuple(chunk)
-        table[start : start + len(chunk)] = np.frombuffer(
-            text.encode("ascii"), dtype=np.uint8
-        ).reshape(-1, _OBJ_FIELD)
-    return mags, table
 
 
 def _write_obj(mesh: TriMesh, fh: IO[str]) -> None:
     import numpy as np
 
     v, f = mesh.vertices, mesh.triangles
-    # one table per axis: the axes share almost no magnitudes, and a third
-    # of the table is searched twice as fast
-    columns = [_magnitude_table(v[:, k]) for k in range(3)]
+    # per axis, the text of each distinct magnitude and each vertex's row
+    rows = np.empty(v.shape, dtype=np.uint32)
+    tables = []
+    for k in range(3):  # each int64 inverse is freed before the next sort
+        mags, rows[:, k] = _distinct_rows(np.abs(v[:, k]))
+        tables.append(_text_table(mags[:, 0], ".16e", _OBJ_FIELD))
     for start in range(0, len(v), _OBJ_BLOCK_ROWS):
         block = v[start : start + _OBJ_BLOCK_ROWS]
         fields = np.empty(block.shape + (1 + _OBJ_FIELD,), dtype=np.uint8)
-        fields[..., 0] = ord("-")
-        for k, (mags, table) in enumerate(columns):
-            row = np.searchsorted(mags, np.abs(block[:, k]))
-            fields[:, k, 1:] = np.take(table, row, axis=0)
-        keep = fields != ord(" ")
-        keep[..., 0] = np.signbit(block) & ~np.isnan(block)
-        fh.write(_obj_lines("v", fields, keep))
-    if not len(f):
-        return
-    # decimal digits of each 1-based index in a fixed width, leading zeros
-    # masked
-    width = len(str(int(f.max()) + 1))
-    power = 10 ** np.arange(width - 1, -1, -1)
+        fields[..., 0] = np.where(np.signbit(block) & ~np.isnan(block), ord("-"), ord(" "))
+        for k, table in enumerate(tables):
+            fields[:, k, 1:] = np.take(table, rows[start : start + _OBJ_BLOCK_ROWS, k], axis=0)
+        fh.write(_obj_lines("v", fields))
+    del rows, tables, mags  # freed before the f table is built
+    table = _text_table(np.arange(1, len(v) + 1), "d", len(str(len(v))))
     for start in range(0, len(f), _OBJ_BLOCK_ROWS):
-        index = f[start : start + _OBJ_BLOCK_ROWS] + 1
-        digits = np.empty(index.shape + (width,), dtype=np.uint8)
-        rest = index
-        for p in range(width - 1, -1, -1):
-            rest, digits[..., p] = np.divmod(rest, 10)
-        digits += ord("0")
-        fh.write(_obj_lines("f", digits, index[..., None] >= power))
+        fh.write(_obj_lines("f", np.take(table, f[start : start + _OBJ_BLOCK_ROWS], axis=0)))

@@ -180,8 +180,18 @@ def test_kinematic_ball_ball_with_monte_carlo():
 
 
 def test_kinematic_mc_unsupported_pair_fails():
-    proc = run_cli("kinematic", "--pair", "oloid-ball", "--mc-samples", "100000")
-    assert proc.returncode == 1
+    # rejected before anything is computed, so 1e-120 (I0 = 0) gives the same line
+    for pair in ("oloid-ball", "oloid-oloid"):
+        for radius in ("1", "1e-120"):
+            proc = run_cli(
+                "kinematic", "--pair", pair, "--radius", radius, "--mc-samples", "100000"
+            )
+            assert proc.returncode == 1
+            assert proc.stdout == ""
+            assert proc.stderr == (
+                "computational failure: Monte Carlo oracle is only available for "
+                f"ball-ball, not {pair}\n"
+            )
 
 
 def test_kinematic_bad_pair_is_usage_error():

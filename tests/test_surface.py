@@ -538,10 +538,21 @@ def test_export_obj_face_index_widths(monkeypatch, tmp_path, nv, block_rows):
 
 
 def test_export_obj_rejects_negative_index(tmp_path):
-    mesh = _vertices_only(np.zeros((3, 3)), [(0, 1, -1)])
-    with pytest.raises(ValueError):
-        sf.export_obj(mesh, str(tmp_path / "x.obj"))
-    assert list(tmp_path.iterdir()) == []
+    # and 3 == len(vertices), one past the last vertex
+    for bad in (-1, 3):
+        mesh = _vertices_only(np.zeros((3, 3)), [(0, 1, bad)])
+        with pytest.raises(ValueError):
+            sf.export_obj(mesh, str(tmp_path / "x.obj"))
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_export_obj_unused_vertices(tmp_path):
+    # the index width comes from the vertex count (4 digits for 1,001), not
+    # from the largest index used (99)
+    index = np.arange(99)
+    tris = np.stack([index, np.roll(index, 1), index[::-1]], axis=1)
+    mesh = _vertices_only(RNG.standard_normal((1001, 3)), tris)
+    assert _obj(mesh, tmp_path) == oracles.obj_text(mesh)
 
 
 BENCH_REFERENCES = Path(__file__).resolve().parents[1] / "bench" / "references.json"
