@@ -198,28 +198,28 @@ def lens_surface(d: float) -> float:
     return 4.0 * math.pi - 2.0 * math.pi * d
 
 
-def _ball_ball_shard(rng, count: int) -> tuple[float, float, float, float]:
+def _ball_ball_leaf(rng, count: int) -> tuple[float, float, float, float]:
     """Sums and sums of squares of the lens volume and surface over ``count`` offsets.
 
     The lens_volume and lens_surface formulas, operation for operation, in
-    the three rows of one block reused in place.  One block rather than
-    three arrays: glibc then keeps its pages from shard to shard instead of
-    trimming and faulting them in again (about 200 page faults per shard).
+    the two rows of one block reused in place: the surface sums are taken
+    first, so the offsets' row can then become the volume's squared factor.
+    A leaf of 2^15 offsets holds one 512 KB block: tracemalloc peaks at
+    0.50 MB for a 2^16-sample shard, against 1.50 MB for three whole-shard
+    rows.
     """
     import numpy as np
 
-    d, lens_v, sq = np.empty((3, count))
+    d, row = np.empty((2, count))
     rng.random(count, out=d)
     np.cbrt(d, out=d)
     d *= 2.0
-    np.add(4.0, d, out=lens_v)
+    lens_s = np.subtract(4.0 * math.pi, np.multiply(d, 2.0 * math.pi, out=row), out=row)
+    s_sum, s_sq = float(np.sum(lens_s)), float(np.sum(np.square(lens_s, out=row)))
+    lens_v = np.add(4.0, d, out=row)
     lens_v *= math.pi / 12.0
-    np.subtract(2.0, d, out=sq)
-    lens_v *= np.square(sq, out=sq)
-    v_sum, v_sq = float(np.sum(lens_v)), float(np.sum(np.multiply(lens_v, lens_v, out=sq)))
-    d *= 2.0 * math.pi
-    lens_s = np.subtract(4.0 * math.pi, d, out=d)
-    return v_sum, v_sq, float(np.sum(lens_s)), float(np.sum(np.multiply(lens_s, lens_s, out=sq)))
+    lens_v *= np.square(np.subtract(2.0, d, out=d), out=d)
+    return float(np.sum(lens_v)), float(np.sum(np.square(lens_v, out=d))), s_sum, s_sq
 
 
 def mc_ball_ball_expectations(n: int, seed: int) -> tuple[Estimate, Estimate]:
@@ -236,7 +236,7 @@ def mc_ball_ball_expectations(n: int, seed: int) -> tuple[Estimate, Estimate]:
     """
     if n < 10_000:
         raise ValueError(f"need at least 10^4 samples, got {n}")
-    v_sums, v_sq, s_sums, s_sq = zip(*_philox_shards(n, seed, _ball_ball_shard))
+    v_sums, v_sq, s_sums, s_sq = zip(*_philox_shards(n, seed, _ball_ball_leaf, 1 << 15))
     return (
         Estimate(*_mean_se(n, v_sums, v_sq), n),
         Estimate(*_mean_se(n, s_sums, s_sq), n),

@@ -2,11 +2,13 @@
 the differential geometry of the boundary sheets and the support function
 in closed form, cached meshes, the straightforward mesh weld, closure
 check, Euler characteristic, whole-mesh volume/area terms and OBJ writer,
-and the plain Monte Carlo width shard, which the library's vectorized,
-blockwise and in-place versions must reproduce exactly.
+and the plain Monte Carlo width shard and whole-shard ball-ball kernel,
+which the library's vectorized, blockwise and in-place versions must
+reproduce exactly.
 These deliberately avoid the library's own integration code paths."""
 
 import math
+import tracemalloc
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -293,3 +295,35 @@ def width_shard(rng, count):
     u = sphere_sample(rng, count)
     w = oloid_support_values(u) + oloid_support_values(-u)
     return float(np.sum(w)), float(np.sum(w * w))
+
+
+def philox(key):
+    """The Philox generator of a shard's key [seed, shard]."""
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+
+
+def ball_ball_shard(rng, count):
+    """Sums and sums of squares of the lens volume and surface over ``count``
+    offsets, in three whole-shard rows."""
+    d, lens_v, sq = np.empty((3, count))
+    rng.random(count, out=d)
+    np.cbrt(d, out=d)
+    d *= 2.0
+    np.add(4.0, d, out=lens_v)
+    lens_v *= math.pi / 12.0
+    np.subtract(2.0, d, out=sq)
+    lens_v *= np.square(sq, out=sq)
+    v_sum, v_sq = float(np.sum(lens_v)), float(np.sum(np.multiply(lens_v, lens_v, out=sq)))
+    d *= 2.0 * math.pi
+    lens_s = np.subtract(4.0 * math.pi, d, out=d)
+    return v_sum, v_sq, float(np.sum(lens_s)), float(np.sum(np.multiply(lens_s, lens_s, out=sq)))
+
+
+def traced_peak(call):
+    """Peak bytes that tracemalloc (numpy's buffers included) saw during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -411,6 +411,27 @@ def test_out_of_range_result_is_computational_failure(argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "radius, message",
+    [
+        ("1e100", "I1 (kinematic) is inf, not finite"),
+        ("1e60", "I3 (kinematic) is inf, not finite"),
+        ("1e-103", "I1 (kinematic) underflows: 0.0"),
+        ("1e-105", "I0 (kinematic) underflows: 3.3510321625e-314"),
+    ],
+)
+def test_kinematic_failed_closed_form_is_reported_before_sampling(monkeypatch, radius, message):
+    def sampler(n, seed):
+        raise AssertionError("the Monte Carlo sampler ran")
+
+    monkeypatch.setattr(cli.steiner_kinematic, "mc_ball_ball_expectations", sampler)
+    code, out, err = run_main(
+        ["kinematic", "--pair", "ball-ball", "--radius", radius, "--mc-samples", "100000000"]
+    )
+    assert (code, out) == (1, "")
+    assert err == f"computational failure: ArithmeticError: {message}\n"
+
+
 def test_seed_beyond_philox_key_is_usage_error():
     proc = run_cli(
         "kinematic", "--pair", "ball-ball", "--mc-samples", "10000",

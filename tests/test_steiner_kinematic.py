@@ -11,6 +11,9 @@ from oloid import intrinsic
 from oloid import steiner_kinematic as sk
 from oloid.intrinsic import IntrinsicVolumes
 from oloid.specfun import ellipe, ellipk
+from oloid.support import _pairwise
+
+import oracles
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -375,6 +378,23 @@ BALL_BALL_BITS = {
         "0x1.8fefcd11b42d5p-12", "0x1.707045990ac42p-10",
     ),
 }
+
+
+@pytest.mark.parametrize("count", (17, 1000, 50000, 2**16 - 1, 2**16))
+def test_ball_ball_shard_matches_whole_shard_oracle(count):
+    # one shard as mc_ball_ball_expectations sums it, in leaves of 2^15
+    for key in ([0, 0], [7, 3], [2**64 - 1, 45]):
+        rng = oracles.philox(key)
+        got = _pairwise(count, lambda k: sk._ball_ball_leaf(rng, k), 1 << 15)
+        assert got == oracles.ball_ball_shard(oracles.philox(key), count)
+
+
+def test_ball_ball_shard_working_set_is_one_leaf(monkeypatch):
+    # a whole-shard kernel peaks at 1.50 MB; one leaf of 2^15 samples at 0.50 MB
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    oracles.philox([0, 0])  # imports numpy.random outside the trace
+    peak = oracles.traced_peak(lambda: sk.mc_ball_ball_expectations(2**16, 0))
+    assert peak <= 0.6 * 2**20
 
 
 @pytest.mark.parametrize("cores", (1, 2, 3))

@@ -247,8 +247,8 @@ def test_montecarlo_deterministic():
 
 
 def test_montecarlo_constant_support_is_exact(monkeypatch):
-    # every direction of a shard has width 2, as for a unit support function
-    monkeypatch.setattr(sp, "_width_shard", lambda rng, count: (2.0 * count, 4.0 * count))
+    # every direction has width 2, as for a unit support function
+    monkeypatch.setattr(sp, "_width_leaf", lambda rng, count: (2.0 * count, 4.0 * count))
     est = sp.mean_width_montecarlo(10**4, 1)
     assert est.value == 2.0
     assert est.err_est == 0.0
@@ -318,10 +318,6 @@ def force_cores(monkeypatch, k):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
 
 
-def _philox(key):
-    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
-
-
 @pytest.mark.parametrize("cores", (1, 2, 3))
 def test_montecarlo_bits_independent_of_thread_count(monkeypatch, cores):
     force_cores(monkeypatch, cores)
@@ -329,19 +325,64 @@ def test_montecarlo_bits_independent_of_thread_count(monkeypatch, cores):
         est = sp.mean_width_montecarlo(n, seed)
         assert (est.value.hex(), est.err_est.hex()) == bits, (n, seed)
         assert est.evals == n
-    # the plain oracle shard through the same reducer
-    monkeypatch.setattr(sp, "_width_shard", oracles.width_shard)
+    # the plain oracle kernel through the same reducer
+    monkeypatch.setattr(sp, "_width_leaf", oracles.width_shard)
     n, seed = 3 * 2**16 + 17, 7
     est = sp.mean_width_montecarlo(n, seed)
     assert (est.value.hex(), est.err_est.hex()) == WIDTH_BITS[n, seed]
 
 
-@pytest.mark.parametrize("count", (1000, 2**16 - 1, 2**16))
+# a shard runs in leaves of numpy's pairwise-summation tree: lengths around
+# its blocks of 8, its plain-loop limit of 128, the leaves of 2^13 and 2^15
+# samples and the shard of 2^16
+PAIRWISE_LENGTHS = (1, 7, 8, 9, 129, 8191, 8192, 8193, 32769, 50000, 65535, 65536)
+
+
+def _pairwise_matches_np_sum(count, leaf):
+    x = np.random.default_rng(count).lognormal(0.0, 2.0, count)
+    taken = []
+
+    def leaf_sums(k):  # np.sum of the next k values and of their squares
+        part = x[sum(taken) : sum(taken) + k]
+        taken.append(k)
+        return float(np.sum(part)), float(np.sum(part * part))
+
+    total, squares = sp._pairwise(count, leaf_sums, leaf)
+    assert sum(taken) == count and max(taken) <= leaf
+    assert total.hex() == float(np.sum(x)).hex()
+    assert squares.hex() == float(np.sum(x * x)).hex()
+
+
+@pytest.mark.parametrize("count", PAIRWISE_LENGTHS)
+def test_pairwise_equals_np_sum_bit_for_bit(count):
+    for leaf in (128, 1 << 13, 1 << 15):
+        _pairwise_matches_np_sum(count, leaf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2**16), st.sampled_from((128, 1000, 1 << 13, 1 << 15)))
+def test_pairwise_equals_np_sum_property(count, leaf):
+    _pairwise_matches_np_sum(count, leaf)
+
+
+def _width_shard(rng, count):
+    """One shard's sums as mean_width_montecarlo takes them, in leaves of 2^13."""
+    return sp._pairwise(count, lambda k: sp._width_leaf(rng, k), 1 << 13)
+
+
+@pytest.mark.parametrize("count", (17, 1000, 50000, 2**16 - 1, 2**16))
 def test_width_shard_matches_plain_oracle(count):
     for key in ([0, 0], [7, 3], [2**64 - 1, 45]):
-        assert sp._width_shard(_philox(key), count) == oracles.width_shard(
-            _philox(key), count
-        )
+        got = _width_shard(oracles.philox(key), count)
+        assert got == oracles.width_shard(oracles.philox(key), count)
+
+
+def test_width_shard_working_set_is_one_leaf(monkeypatch):
+    # a whole-shard kernel peaks at 2.56 MB; one leaf of 2^13 rows at 0.38 MB
+    force_cores(monkeypatch, 1)
+    oracles.philox([0, 0])  # imports numpy.random outside the trace
+    peak = oracles.traced_peak(lambda: sp.mean_width_montecarlo(2**16, 0))
+    assert peak <= 0.6 * 2**20
 
 
 class _ZeroRows:
@@ -349,7 +390,7 @@ class _ZeroRows:
     the given rows (those that exist) set to zero."""
 
     def __init__(self, key, rows, batches):
-        self.rng = _philox(key)
+        self.rng = oracles.philox(key)
         self.rows = rows
         self.batches = batches
         self.draws = 0
@@ -366,7 +407,7 @@ class _ZeroRows:
 def test_width_shard_redraws_zero_rows(batches):
     rows = (0, 17, 999)
     stub = _ZeroRows([3, 1], rows, batches)
-    got = sp._width_shard(stub, 1000)
+    got = _width_shard(stub, 1000)
     assert stub.draws == batches + 1
     assert all(math.isfinite(x) for x in got)
     assert got == oracles.width_shard(_ZeroRows([3, 1], rows, batches), 1000)
@@ -384,12 +425,13 @@ def test_montecarlo_failure_stops_every_thread(monkeypatch, capfd):
                 raise ArithmeticError("third call")
         return oracles.width_shard(rng, count)
 
-    monkeypatch.setattr(sp, "_width_shard", failing)
+    monkeypatch.setattr(sp, "_width_leaf", failing)
     before = threading.active_count()
     with pytest.raises(ArithmeticError, match="third call"):
         sp.mean_width_montecarlo(100 * 2**16, 1)
     assert threading.active_count() == before
-    # the other threads stop at their next shard boundary: 100 calls otherwise
+    # the other threads stop at their next shard boundary: 800 leaf calls
+    # otherwise
     assert len(calls) < 40
     assert "Exception in thread" not in capfd.readouterr().err
 
@@ -404,7 +446,7 @@ def test_montecarlo_keyboard_interrupt_stops_every_thread(monkeypatch, capfd):
             raise KeyboardInterrupt
         return oracles.width_shard(rng, count)
 
-    monkeypatch.setattr(sp, "_width_shard", interrupted)
+    monkeypatch.setattr(sp, "_width_leaf", interrupted)
     before = threading.active_count()
     with pytest.raises(KeyboardInterrupt):
         sp.mean_width_montecarlo(100 * 2**16, 1)
@@ -424,7 +466,7 @@ def test_montecarlo_thread_count(monkeypatch, cores, threads):
         alive.append(threading.active_count())
         return oracles.width_shard(rng, count)
 
-    monkeypatch.setattr(sp, "_width_shard", recording)
+    monkeypatch.setattr(sp, "_width_leaf", recording)
     before = threading.active_count()
     sp.mean_width_montecarlo(20 * 2**16, 1)
     assert len(seen) <= threads
@@ -448,7 +490,7 @@ def test_shard_reducer_runs_every_shard_once(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results = sp._philox_shards(300 * 2**16 + 5, 9, kernel)
+        results = sp._philox_shards(300 * 2**16 + 5, 9, kernel, 2**16)
     finally:
         sys.setswitchinterval(interval)
     assert results == [(i, 2**16) for i in range(300)] + [(300, 5)]
