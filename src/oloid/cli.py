@@ -34,15 +34,17 @@ EXIT_FAILURE = 1
 EXIT_ROUTE_DISAGREEMENT = 2
 EXIT_USAGE = 64
 
-# Mesh memory grows as n^2: at n = 1024 the mesh holds 150 MB and the command
-# peaks at about 330 MB and takes about 6 s on a 2-core VM, since every stage
-# after the build works on fixed-size blocks of the mesh.
+# Mesh memory grows as n^2: at n = 1024 the mesh holds 96 MB and the command
+# peaks at about 250 MB and takes about 5.5 s on a 2-core VM.  Every stage
+# after the build works on fixed-size blocks of the mesh; the closure check's
+# sorted edge keys (100 MB) are the largest temporary.
 MAX_RESOLUTION = 1024
 # Monte Carlo memory is bounded by the leaf size times the sampler threads (at
 # most 8, each holding one leaf of its 2^16-sample shard at a time, 512 KB at
-# most), plus the sums of each shard, and time is linear in the sample count:
-# the ball-ball oracle takes about 9 s at the cap on a 2-core VM (2 threads),
-# with a peak RSS of 39.4 MB, against 35.6 MB at 2*10^7 and 34.5 MB at 10^4.
+# most), plus one float64 row of sums per shard (0.5 MB at the cap), and time
+# is linear in the sample count: the ball-ball oracle takes about 10 s at the
+# cap on a 2-core VM (2 threads), with a peak RSS of 36.0 MB, against 35.7 MB
+# at 2*10^7 and 34.6 MB at 10^4.
 MIN_MC_SAMPLES = 10_000
 MAX_MC_SAMPLES = 1_000_000_000
 
@@ -209,15 +211,18 @@ def _cmd_kinematic(args) -> int:
 
 def _cmd_mesh(args) -> int:
     mesh = surface.build_mesh(args.resolution)
+    # measured before the OBJ is written, so the closure check's keys reuse
+    # the build's freed memory and a mesh that is not closed writes no file
+    measured = (
+        ("mesh_volume", surface.mesh_volume(mesh), intrinsic.volume()),
+        ("mesh_area", surface.mesh_area(mesh), intrinsic.surface_area()),
+    )
     try:
         surface.export_obj(mesh, args.out)
     except OSError as exc:
         print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    for name, value, exact in (
-        ("mesh_volume", surface.mesh_volume(mesh), intrinsic.volume()),
-        ("mesh_area", surface.mesh_area(mesh), intrinsic.surface_area()),
-    ):
+    for name, value, exact in measured:
         print(f"{name} {_fmt(value)} rel_dev {_fmt(abs(value - exact) / exact, 3)}")
     return EXIT_OK
 
@@ -281,7 +286,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_kinematic)
 
     p = sub.add_parser("mesh", help="export a watertight OBJ mesh")
-    memory = "memory grows as n^2, about 330 MB at the cap"
+    memory = "memory grows as n^2, about 250 MB at the cap"
     resolution = _integer("--resolution", 2, MAX_RESOLUTION, f" (mesh {memory})")
     p.add_argument("--resolution", type=resolution, required=True,
                    help=f"grid intervals per sheet, 2..{MAX_RESOLUTION} ({memory})")

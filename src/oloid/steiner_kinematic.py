@@ -236,7 +236,7 @@ def mc_ball_ball_expectations(n: int, seed: int) -> tuple[Estimate, Estimate]:
     """
     if n < 10_000:
         raise ValueError(f"need at least 10^4 samples, got {n}")
-    v_sums, v_sq, s_sums, s_sq = zip(*_philox_shards(n, seed, _ball_ball_leaf, 1 << 15))
+    v_sums, v_sq, s_sums, s_sq = _philox_shards(n, seed, _ball_ball_leaf, 1 << 15, 4).T
     return (
         Estimate(*_mean_se(n, v_sums, v_sq), n),
         Estimate(*_mean_se(n, s_sums, s_sq), n),

@@ -145,8 +145,11 @@ def mean_width_direct(tol: float) -> quad.Estimate:
     )
 
 
-def _philox_shards(n: int, seed: int, leaf_kernel: Callable, leaf: int) -> list:
-    """The sums of every shard of ``n`` samples, in shard order.
+def _philox_shards(
+    n: int, seed: int, leaf_kernel: Callable, leaf: int, n_sums: int
+) -> np.ndarray:
+    """The ``n_sums`` sums of every shard of ``n`` samples, shard i's in row
+    i of an (n_shards, n_sums) float64 array.
 
     Shard i covers samples [i * _SHARD, (i + 1) * _SHARD) and draws from a
     Philox generator keyed by (seed, i), so its result depends on nothing
@@ -175,7 +178,7 @@ def _philox_shards(n: int, seed: int, leaf_kernel: Callable, leaf: int) -> list:
         cores = len(os.sched_getaffinity(0))
     else:
         cores = os.cpu_count() or 1
-    results: list = [None] * n_shards
+    results = np.empty((n_shards, n_sums))
     errors: list[BaseException] = []
     unclaimed = iter(range(n_shards))
     lock = threading.Lock()
@@ -296,5 +299,5 @@ def mean_width_montecarlo(n: int, seed: int) -> quad.Estimate:
     """
     if n < 1000:
         raise ValueError(f"need at least 1000 samples, got {n}")
-    sums, sqsums = zip(*_philox_shards(n, seed, _width_leaf, 1 << 13))
+    sums, sqsums = _philox_shards(n, seed, _width_leaf, 1 << 13, 2).T
     return quad.Estimate(*_mean_se(n, sums, sqsums), n)

@@ -78,8 +78,9 @@ def edge_angle(t: float) -> float:
 class TriMesh(NamedTuple):
     """Watertight triangle mesh of the oloid boundary.
 
-    ``vertices`` is (nv, 3) float64, ``triangles`` (nf, 3) int64 with
-    outward-consistent winding.  Treat instances as immutable after
+    ``vertices`` is (nv, 3) float64, ``triangles`` (nf, 3) int32 with
+    outward-consistent winding (the functions here accept any integer
+    dtype).  Treat instances as immutable after
     construction; they are then safe to share across threads.
     """
 
@@ -121,21 +122,29 @@ def build_mesh(n: int) -> TriMesh:
     along the diagonal of increasing (m + t).  Cells degenerating to zero
     area are kept: they contribute nothing to area or volume and keep the
     indexing regular.  Vertices are in ascending lexicographic (x, y, z)
-    order.
+    order.  The grid points are welded and dropped before the triangles are
+    built, which are then renumbered in place: the two never coexist.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    x, y, z, tris = _unwelded_sheets(n)
-    vertices, inverse = _distinct_rows(x, y, z)
+    if 2 * (n + 1) ** 2 > 2**31 - 1:  # every grid point needs an int32 index
+        raise ValueError(f"n = {n} has more grid points than int32 triangle indices can name")
+    import numpy as np
+
+    points = _unwelded_points(n)
+    inverse = np.empty(len(points[0]), dtype=np.int32)
+    vertices = _distinct_rows(points, inverse)
+    del points
+    tris = _grid_triangles(n)
     for start in range(0, len(tris), _TRIANGLE_BLOCK):  # renumber in place
         block = tris[start : start + _TRIANGLE_BLOCK]
         block[...] = inverse[block]
     return TriMesh(vertices=vertices, triangles=tris)
 
 
-def _unwelded_sheets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Grid point coordinates x, y, z of both sheets (z >= 0 sheet first,
-    each row-major in (m, t)) and their outward-wound triangles."""
+def _unwelded_points(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid point coordinates x, y, z of both sheets, z >= 0 sheet first,
+    each row-major in (m, t)."""
     import numpy as np
 
     m = np.linspace(0.0, 1.0, n + 1)
@@ -151,46 +160,61 @@ def _unwelded_sheets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     y = np.tile(y.ravel() + 0.0, 2)
     zmag = zmag.ravel()
     z = np.concatenate([zmag + 0.0, -zmag + 0.0])
+    return x, y, z
+
+
+def _grid_triangles(n: int) -> np.ndarray:
+    """Outward-wound int32 triangles of both sheets over the grid points of
+    :func:`_unwelded_points`."""
+    import numpy as np
 
     plus = _sheet_triangles(n)
-    tris = np.empty((2 * len(plus), 3), dtype=np.int64)
+    tris = np.empty((2 * len(plus), 3), dtype=np.int32)
     # w_m x w_t points into the body, so the (m, t)-counterclockwise split is
     # outward on the mirrored sheet and must be reversed on the z >= 0 sheet
     tris[: len(plus)] = plus[:, ::-1]
     np.add(plus, (n + 1) * (n + 1), out=tris[len(plus) :])
-    return x, y, z, tris
+    return tris
 
 
-def _distinct_rows(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _distinct_rows(columns: tuple[np.ndarray, ...], inverse: np.ndarray) -> np.ndarray:
     """Distinct rows of the equal-length ``columns``, ascending
-    lexicographically in a (rows, len(columns)) float64 array, and the int64
-    map from each input row to its row there, as ``np.unique(axis=0,
-    return_inverse=True)`` gives them but with each NaN a row of its own.
-    One lexsort, an adjacent-row comparison and a running count: np.unique
-    would import numpy.ma, a fixed cost on every request.
+    lexicographically in a (rows, len(columns)) float64 array, as
+    ``np.unique(axis=0, return_inverse=True)`` gives them but with each NaN
+    a row of its own.  Each input row's row there is written into the
+    integer array ``inverse``, counted in its dtype, which must hold the
+    number of input rows.  One lexsort, an adjacent-row comparison one
+    gathered column at a time and a running count: np.unique would import
+    numpy.ma, a fixed cost on every request.
     """
     import numpy as np
 
     order = np.lexsort(columns[::-1])
-    rows = np.empty((len(order), len(columns)))
-    for k, column in enumerate(columns):
-        rows[:, k] = column[order]
-    new = np.empty(len(rows), dtype=bool)
+    new = np.zeros(len(order), dtype=bool)
     new[:1] = True
-    np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
-    inverse = np.empty(len(rows), dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
-    return rows[new], inverse
+    for column in columns:
+        gathered = column[order]
+        new[1:] |= gathered[1:] != gathered[:-1]
+        del gathered  # one gathered column at a time
+    inverse[order] = np.cumsum(new, dtype=inverse.dtype) - 1
+    first = order[new]
+    del order, new  # freed before the rows are gathered
+    rows = np.empty((len(first), len(columns)))
+    for k, column in enumerate(columns):
+        np.take(column, first, out=rows[:, k])
+    return rows
 
 
 def _sheet_triangles(n: int) -> np.ndarray:
-    """Cell triangulation of one sheet, counterclockwise in the (m, t) plane."""
+    """Cell triangulation of one sheet, counterclockwise in the (m, t) plane,
+    as int32."""
     import numpy as np
 
     nt1 = n + 1
-    v00 = (np.arange(n)[:, None] * nt1 + np.arange(n)).ravel()
+    cells = np.arange(n, dtype=np.int32)
+    v00 = (cells[:, None] * nt1 + cells).ravel()
     v10, v01, v11 = v00 + nt1, v00 + 1, v00 + nt1 + 1
-    tris = np.empty((2 * len(v00), 3), dtype=np.int64)
+    tris = np.empty((2 * len(v00), 3), dtype=np.int32)
     t1, t2 = tris[: len(v00)], tris[len(v00) :]
     t1[:, 0], t1[:, 1], t1[:, 2] = v00, v10, v11
     t2[:, 0], t2[:, 1], t2[:, 2] = v00, v11, v01
@@ -312,8 +336,8 @@ def mesh_area(mesh: TriMesh) -> float:
 
 
 # Rows formatted per write call by export_obj: large enough to amortize the
-# per-call cost, small enough that a block's line bytes stay under 1 MB.
-_OBJ_BLOCK_ROWS = 8192
+# per-call cost, small enough that a block's line temporaries stay near 1.5 MB.
+_OBJ_BLOCK_ROWS = 4096
 
 # Widest '%.16e' of a double's magnitude (three-digit exponent), such as
 # 1.7976931348623157e+308.
@@ -394,8 +418,8 @@ def _write_obj(mesh: TriMesh, fh: IO[str]) -> None:
     # per axis, the text of each distinct magnitude and each vertex's row
     rows = np.empty(v.shape, dtype=np.uint32)
     tables = []
-    for k in range(3):  # each int64 inverse is freed before the next sort
-        mags, rows[:, k] = _distinct_rows(np.abs(v[:, k]))
+    for k in range(3):
+        mags = _distinct_rows((np.abs(v[:, k]),), rows[:, k])
         tables.append(_text_table(mags[:, 0], ".16e", _OBJ_FIELD))
     for start in range(0, len(v), _OBJ_BLOCK_ROWS):
         block = v[start : start + _OBJ_BLOCK_ROWS]

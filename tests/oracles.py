@@ -208,10 +208,9 @@ def cached_mesh(n):
 
 def unique_weld(n):
     """build_mesh's (vertices, triangles) welded by np.unique(axis=0)."""
-    x, y, z, tris = surface._unwelded_sheets(n)
-    verts = np.stack([x, y, z], axis=1)
+    verts = np.stack(surface._unwelded_points(n), axis=1)
     unique, inverse = np.unique(verts, axis=0, return_inverse=True)
-    return unique, inverse.reshape(-1)[tris].astype(np.int64)
+    return unique, inverse.reshape(-1)[surface._grid_triangles(n)].astype(np.int64)
 
 
 def closed_by_unique(mesh):

@@ -282,9 +282,9 @@ print(json.dumps([
 
 
 def test_mesh_memory_beyond_imports_is_bounded(tmp_path):
-    # at n = 256 the mesh holds 9 MB and the command needs about 25 MB beyond
+    # at n = 256 the mesh holds 6 MB and the command needs about 15 MB beyond
     # numpy and the package; one whole-mesh gather of the triangles' corners
-    # (72 bytes per triangle) adds about 25 MB more
+    # (72 bytes per triangle) would add about 18 MB more
     src = str(Path(oloid.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -295,12 +295,33 @@ def test_mesh_memory_beyond_imports_is_bounded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     (import_code, imports), (mesh_code, mesh) = json.loads(proc.stdout)
     assert import_code == 0 and mesh_code == 0
-    assert mesh - imports <= 40.0
+    assert mesh - imports <= 18.0
 
 
 def test_mesh_io_failure(tmp_path):
     proc = run_cli("mesh", "--resolution", "2", "--out", "/nonexistent/dir/x.obj")
     assert proc.returncode == 1
+    assert proc.stdout == ""
+    # the OBJ is written in full, then cannot replace a directory
+    taken = tmp_path / "taken.obj"
+    taken.mkdir()
+    proc = run_cli("mesh", "--resolution", "2", "--out", str(taken))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"cannot write {taken}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken.obj"]
+    assert list(taken.iterdir()) == []
+
+
+def test_mesh_not_closed_writes_no_file(monkeypatch, tmp_path, capsys):
+    mesh = oloid.surface.build_mesh(4)
+    open_mesh = oloid.surface.TriMesh(mesh.vertices, mesh.triangles[1:])  # one hole
+    monkeypatch.setattr(oloid.surface, "build_mesh", lambda n: open_mesh)
+    assert cli.main(["mesh", "--resolution", "4", "--out", str(tmp_path / "x.obj")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "computational failure: mesh_volume requires a closed oriented mesh\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_subcommand_is_usage_error():

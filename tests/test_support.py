@@ -490,8 +490,20 @@ def test_shard_reducer_runs_every_shard_once(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results = sp._philox_shards(300 * 2**16 + 5, 9, kernel, 2**16)
+        results = sp._philox_shards(300 * 2**16 + 5, 9, kernel, 2**16, 2)
     finally:
         sys.setswitchinterval(interval)
-    assert results == [(i, 2**16) for i in range(300)] + [(300, 5)]
+    assert results.tolist() == [[i, 2**16] for i in range(300)] + [[300, 5]]
     assert sorted(ran) == list(range(301))
+
+
+def test_shard_sums_are_one_array_row_each(monkeypatch):
+    # 4,000 shards of four fresh sums each: one float64 row per shard is
+    # 125 KiB in all, where a tuple of floats per shard would be 0.7 MB
+    force_cores(monkeypatch, 2)
+
+    def kernel(rng, count):
+        return float(count), float(count), float(count), float(count)
+
+    peak = oracles.traced_peak(lambda: sp._philox_shards(4000 * 2**16, 3, kernel, 2**16, 4))
+    assert peak <= 0.5 * 2**20

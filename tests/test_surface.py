@@ -375,7 +375,47 @@ def test_weld_matches_unique_oracle(n):
     ref_vertices, ref_triangles = oracles.unique_weld(n)
     np.testing.assert_array_equal(mesh.vertices, ref_vertices)
     np.testing.assert_array_equal(mesh.triangles, ref_triangles)
-    assert mesh.triangles.dtype == np.int64
+    assert mesh.triangles.dtype == np.int32
+
+
+def test_mesh_beyond_int32_indices_raises_before_allocating(monkeypatch):
+    # 2 * 32768^2 = 2^31 grid points: one more than int32 indices can count
+    def never(n):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(sf, "_unwelded_points", never)
+    monkeypatch.setattr(sf, "_grid_triangles", never)
+
+    def attempt():
+        with pytest.raises(ValueError, match="int32"):
+            sf.build_mesh(32767)
+
+    assert oracles.traced_peak(attempt) < 64 * 1024
+
+
+def test_int64_indices_give_the_same_results(tmp_path):
+    mesh = oracles.cached_mesh(64)
+    wide = _with_triangles(mesh, mesh.triangles.astype(np.int64))
+    assert sf.mesh_is_closed(wide) and sf.mesh_is_closed(mesh)
+    assert not sf.mesh_is_closed(_flipped(wide))
+    assert sf.mesh_volume(wide) == sf.mesh_volume(mesh)
+    assert sf.mesh_area(wide) == sf.mesh_area(mesh)
+    assert _obj(wide, tmp_path / "wide") == _obj(mesh, tmp_path / "narrow")
+
+
+def test_mesh_stages_peak_at_most_14_mb_at_256(tmp_path):
+    # tracemalloc peaks, the mesh itself (6 MB) included: each stage's
+    # temporaries stay near the mesh's size
+    limit = 14 * 2**20
+    mesh = oracles.cached_mesh(256)
+    assert oracles.traced_peak(lambda: sf.build_mesh(256)) <= limit
+    held = mesh.vertices.nbytes + mesh.triangles.nbytes
+    for stage in (
+        lambda: sf.export_obj(mesh, str(tmp_path / "mesh.obj")),
+        lambda: sf.mesh_volume(mesh),
+        lambda: sf.mesh_area(mesh),
+    ):
+        assert held + oracles.traced_peak(stage) <= limit
 
 
 def _with_triangles(mesh, tris):
