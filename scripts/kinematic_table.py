@@ -10,9 +10,11 @@ Usage: python scripts/kinematic_table.py [--radius 1.0] [--mc-samples 1000000]
 
 import argparse
 import math
+import sys
 
 from oloid import intrinsic
 from oloid import steiner_kinematic as sk
+from oloid.quadrature import QuadratureError
 
 
 def main() -> None:
@@ -52,4 +54,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except (QuadratureError, ValueError, ArithmeticError) as exc:  # as the oloid CLI
+        sys.exit(f"computational failure: {exc}")

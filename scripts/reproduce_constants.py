@@ -6,8 +6,10 @@ Usage: python scripts/reproduce_constants.py [--tol 1e-10] [--mc-samples 1000000
 
 import argparse
 import math
+import sys
 
 from oloid import intrinsic, support
+from oloid.quadrature import QuadratureError
 
 
 def main() -> None:
@@ -48,4 +50,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except (QuadratureError, ValueError, ArithmeticError) as exc:  # as the oloid CLI
+        sys.exit(f"computational failure: {exc}")

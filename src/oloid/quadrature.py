@@ -15,14 +15,17 @@ Three entry points:
 * :func:`integrate2d` -- iterated integration (inner theta, outer phi) over
   a phi-dependent theta range, with the tolerance split between the levels.
   Nothing in the package calls it: the direct mean width does its inner
-  integrals in closed form.  Each inner call has its own evaluation budget,
-  so the total work of a call is not bounded by ``MAX_EVALS``.
+  integrals in closed form.  Each inner call has its own panel cap, so only
+  the product of the outer and the inner cap bounds the work of a call.
 
 All routines target the mixed tolerance ``max(tol, tol * |I|)``: the
 constants computed in this project span two orders of magnitude, so a
-purely absolute or purely relative target would be wrong at one end.
-Exhausting the subdivision budget raises :class:`QuadratureError` carrying
-the best estimate reached; a silent inaccurate result is never returned.
+purely absolute or purely relative target would be wrong at one end.  Two
+caps bound the work: ``MAX_PANELS`` = 2^15 panels for :func:`integrate`
+(31 + 62 * (2^15 - 1) = 2,031,585 evaluations) and 12 step halvings for
+:func:`integrate_singular` (13 levels, at most 99,921 evaluations).
+Reaching a cap raises :class:`QuadratureError` carrying the best estimate
+reached; a silent inaccurate result is never returned.
 Evaluation and summation order are fixed, so results are deterministic for
 fixed inputs.
 """
@@ -42,7 +45,6 @@ __all__ = [
 ]
 
 MAX_PANELS = 1 << 15
-MAX_EVALS = 10_000_000
 
 _TS_MAX_LEVELS = 12
 _HALF_PI = 0.5 * math.pi
@@ -54,80 +56,38 @@ _TS_ROUNDING_ULPS = 4.0
 _EPS = math.ulp(1.0)
 
 
-# Gauss-Legendre nodes and weights on [-1, 1], the shortest round-trip repr
-# of numpy.polynomial.legendre.leggauss(10) and leggauss(21).  Written out so
-# that scalar routes run without importing numpy; tests check they are
-# bit-identical to leggauss.
-_X10 = (
-    -0.9739065285171717,
-    -0.8650633666889845,
-    -0.6794095682990244,
-    -0.4333953941292472,
-    -0.14887433898163122,
-    0.14887433898163122,
-    0.4333953941292472,
-    0.6794095682990244,
-    0.8650633666889845,
-    0.9739065285171717,
-)
-_W10 = (
-    0.06667134430868814,
-    0.1494513491505804,
-    0.219086362515982,
-    0.2692667193099965,
-    0.2955242247147528,
-    0.2955242247147528,
-    0.2692667193099965,
-    0.219086362515982,
-    0.1494513491505804,
-    0.06667134430868814,
-)
-_X21 = (
-    -0.9937521706203895,
-    -0.9672268385663063,
-    -0.9200993341504008,
-    -0.8533633645833173,
-    -0.7684399634756779,
-    -0.6671388041974123,
-    -0.5516188358872198,
-    -0.4243421202074388,
-    -0.2880213168024011,
-    -0.1455618541608951,
-    0.0,
-    0.1455618541608951,
-    0.2880213168024011,
-    0.4243421202074388,
-    0.5516188358872198,
-    0.6671388041974123,
-    0.7684399634756779,
-    0.8533633645833173,
-    0.9200993341504008,
-    0.9672268385663063,
-    0.9937521706203895,
-)
-_W21 = (
-    0.01601722825777436,
-    0.03695378977085188,
-    0.05713442542685717,
-    0.07610011362837911,
-    0.09344442345603395,
-    0.1087972991671484,
-    0.12183141605372864,
-    0.13226893863333763,
-    0.1398873947910734,
-    0.14452440398997027,
-    0.1460811336496907,
-    0.14452440398997027,
-    0.1398873947910734,
-    0.13226893863333763,
-    0.12183141605372864,
-    0.1087972991671484,
-    0.09344442345603395,
-    0.07610011362837911,
-    0.05713442542685717,
-    0.03695378977085188,
-    0.01601722825777436,
-)
+def _mirror(half: tuple) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Ascending nodes and weights on [-1, 1] from the (node, weight) pairs on
+    [0, 1]; a centre node 0.0 is kept once, without a -0.0 twin."""
+    full = [(-x, w) for x, w in reversed(half) if x > 0.0] + list(half)
+    return tuple(x for x, _ in full), tuple(w for _, w in full)
+
+
+# Gauss-Legendre nodes and weights, the shortest round-trip repr of the upper
+# half of numpy.polynomial.legendre.leggauss(10) and leggauss(21), whose nodes
+# are exactly antisymmetric and weights exactly symmetric.  Written out so
+# that scalar routes run without importing numpy; tests check the mirrored
+# tables are bit-identical to leggauss.
+_X10, _W10 = _mirror((
+    (0.14887433898163122, 0.2955242247147528),
+    (0.4333953941292472, 0.2692667193099965),
+    (0.6794095682990244, 0.219086362515982),
+    (0.8650633666889845, 0.1494513491505804),
+    (0.9739065285171717, 0.06667134430868814),
+))
+_X21, _W21 = _mirror((
+    (0.0, 0.1460811336496907),
+    (0.1455618541608951, 0.14452440398997027),
+    (0.2880213168024011, 0.1398873947910734),
+    (0.4243421202074388, 0.13226893863333763),
+    (0.5516188358872198, 0.12183141605372864),
+    (0.6671388041974123, 0.1087972991671484),
+    (0.7684399634756779, 0.09344442345603395),
+    (0.8533633645833173, 0.07610011362837911),
+    (0.9200993341504008, 0.05713442542685717),
+    (0.9672268385663063, 0.03695378977085188),
+    (0.9937521706203895, 0.01601722825777436),
+))
 _EVALS_PER_PANEL = len(_X10) + len(_X21)
 
 
@@ -193,8 +153,8 @@ def integrate(
 
     Adaptive bisection: the panel with the largest error estimate (ties
     broken by creation order, so results are deterministic) is split until
-    the summed estimates meet the target.  Budget: ``MAX_PANELS`` panels or
-    ``MAX_EVALS`` evaluations, whichever comes first; exceeding it raises
+    the summed estimates meet the target.  Budget: ``MAX_PANELS`` = 2^15
+    panels, that is 2,031,585 evaluations; reaching it raises
     :class:`QuadratureError`.  ``err_est`` is never below the rounding floor
     ``eps * sum |panel values|``, and a target below that floor raises
     :class:`QuadratureError` as soon as the floor alone exceeds it.
@@ -208,7 +168,7 @@ def integrate(
     run_v, run_e, run_floor = v, e, _EPS * abs(v)
     while True:
         target = max(tol, tol * abs(run_v))
-        exhausted = len(heap) >= MAX_PANELS or evals >= MAX_EVALS
+        exhausted = len(heap) >= MAX_PANELS
         if run_e <= target or run_floor > target or exhausted:
             # resync the running sums, which drift, before deciding
             run_v, run_e, run_floor = _sums(heap)
@@ -250,9 +210,11 @@ def integrate_singular(
     transformed integrand decays doubly exponentially toward the endpoints,
     so the trapezoid sum converges even for ``(x - a)**(-1/2)`` behaviour.
     The step is halved per level until two consecutive levels agree to the
-    target; ``f`` is never called exactly at ``a`` or ``b``.  The error
-    estimate is never below the rounding error of the level sum, so a
-    target under that floor is reported as :class:`QuadratureError`.
+    target; ``f`` is never called exactly at ``a`` or ``b``.  Budget: 12
+    halvings of the step (13 levels), at most 99,921 evaluations; reaching
+    it raises :class:`QuadratureError`.  The error estimate is never below
+    the rounding error of the level sum, so a target under that floor is
+    reported as :class:`QuadratureError`.
     """
     _check_args(a, b, tol)
     half = 0.5 * (b - a)
@@ -275,32 +237,23 @@ def integrate_singular(
             delta = 2.0 / (e2w + 1.0)  # 1 - tanh(w), computed without cancellation
             sech = 2.0 * ew / (e2w + 1.0)
             dxdu = half * _HALF_PI * math.cosh(u) * sech * sech
+            # k = 0 is the centre, one node; every other k is a pair
             largest = 0.0
-            x_hi = b - half * delta
-            if x_hi < b:
-                term = dxdu * f(x_hi)
-                evals += 1
-                terms.append(term)
-                running += term
-                largest = abs(term)
-            if k > 0:
-                x_lo = a + half * delta
-                if x_lo > a:
-                    term = dxdu * f(x_lo)
+            for i, x in enumerate((b - half * delta, a + half * delta)[: 1 + (k > 0)]):
+                if a < x < b:
+                    term = dxdu * f(x)
                     evals += 1
                     terms.append(term)
                     running += term
-                    largest = max(largest, abs(term))
-                cutoff = 1e-3 * tol * max(1.0, h * abs(running))
-                if h * largest <= cutoff:
-                    quiet += 1
-                    if quiet >= 2:
-                        break
-                else:
-                    quiet = 0
-            if evals >= MAX_EVALS:
-                best = Estimate(h * math.fsum(terms), err, evals)
-                raise QuadratureError("evaluation budget exhausted", best)
+                    # a NaN high term is loud, but a NaN low term whose high
+                    # twin rounded onto b is quiet: max(0.0, nan) is 0.0
+                    largest = max(largest, abs(term)) if i else abs(term)
+            if k > 0 and h * largest <= 1e-3 * tol * max(1.0, h * abs(running)):
+                quiet += 1
+                if quiet >= 2:
+                    break
+            else:
+                quiet = 0
             k += 1
         s = h * math.fsum(terms)
         if prev is not None:
@@ -326,7 +279,9 @@ def integrate2d(
 
     The theta limits may depend on phi (callables) or be constants.  The
     tolerance is budgeted as tol/2 per level; ``evals`` counts calls of
-    ``f`` itself.
+    ``f`` itself.  The outer integral and each inner one stop at
+    ``MAX_PANELS`` panels of their own (2,031,585 evaluations each), so only
+    the product of the two bounds the total.
     """
     a, b = phi_range
     _check_args(a, b, tol)

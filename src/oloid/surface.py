@@ -369,7 +369,7 @@ def export_obj(mesh: TriMesh, path: str) -> None:
 
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+        with open(tmp, "wb") as fh:
             _write_obj(mesh, fh)
         os.replace(tmp, path)
     except BaseException:
@@ -395,9 +395,10 @@ def _text_table(values: np.ndarray, spec: str, width: int) -> np.ndarray:
     return table
 
 
-def _obj_lines(tag: str, fields: np.ndarray) -> str:
-    """One newline-terminated line ``tag f0 f1 f2`` per row of the
-    (rows, 3, width) uint8 ``fields``, every space inside a field dropped."""
+def _obj_lines(tag: str, fields: np.ndarray) -> np.ndarray:
+    """The ASCII bytes, as a flat uint8 array, of one newline-terminated line
+    ``tag f0 f1 f2`` per row of the (rows, 3, width) uint8 ``fields``, every
+    space inside a field dropped."""
     import numpy as np
 
     n, k, w = fields.shape
@@ -408,10 +409,10 @@ def _obj_lines(tag: str, fields: np.ndarray) -> str:
     body[..., 1:] = fields
     kept = out != ord(" ")
     kept[:, 1 : -1 : w + 1] = True  # the separators
-    return out[kept].tobytes().decode("ascii")
+    return out[kept]
 
 
-def _write_obj(mesh: TriMesh, fh: IO[str]) -> None:
+def _write_obj(mesh: TriMesh, fh: IO[bytes]) -> None:
     import numpy as np
 
     v, f = mesh.vertices, mesh.triangles

@@ -134,13 +134,21 @@ def test_budget_exhaustion_carries_best_estimate():
     best = exc.value.best
     assert math.isfinite(best.value)
     assert best.err_est > 1e-12
-    assert best.evals > 0
+    # the panel cap is the budget that binds: one panel, then pairs
+    assert best.evals == 31 + 62 * (quadrature.MAX_PANELS - 1)
 
 
 def test_singular_budget_exhaustion():
     with pytest.raises(QuadratureError) as exc:
         integrate_singular(lambda x: math.cos(3e5 * x), 0.0, 1.0, 1e-12)
     assert math.isfinite(exc.value.best.value)
+    # 13 levels hold at most 99,921 nodes
+    assert exc.value.best.evals < 100_000
+    # a NaN term never counts as small, except a low one whose high twin
+    # rounded onto b: the tail then ends and pins this count
+    with pytest.raises(QuadratureError) as exc:
+        integrate_singular(lambda x: math.nan, 0.0, 1.0, 1e-6)
+    assert exc.value.best.evals == 52_003
 
 
 def test_invalid_arguments():

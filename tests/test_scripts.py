@@ -1,25 +1,32 @@
-"""Smoke runs of the scripts in ``scripts/``: exit 0 and the expected rows in order."""
+"""Smoke runs of the scripts in ``scripts/``: exit 0 and the expected rows in order,
+or exit 1 with one ``computational failure`` line when the inputs cannot be computed."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import oloid
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def spawn_script(name, *args):
     env = dict(os.environ)
     src = str(Path(oloid.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
         env=env,
     )
+
+
+def run_script(name, *args):
+    proc = spawn_script(name, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
@@ -61,3 +68,20 @@ def test_mesh_convergence_rows():
     lines = run_script("mesh_convergence.py", "--max-power", "4")
     assert lines[0].split()[0] == "n"
     assert [line.split()[0] for line in lines[1:]] == ["8", "16"]
+
+
+@pytest.mark.parametrize(
+    "name,args",
+    [
+        ("reproduce_constants.py", ("--mc-samples", "5")),  # ValueError
+        ("reproduce_constants.py", ("--tol", "1e-17")),  # QuadratureError
+        ("kinematic_table.py", ("--radius", "0", "--mc-samples", "10000")),
+        ("kinematic_table.py", ("--seed", "-1", "--mc-samples", "10000")),
+    ],
+)
+def test_script_failure_is_one_line_without_traceback(name, args):
+    proc = spawn_script(name, *args)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("computational failure: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
