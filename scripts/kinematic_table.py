@@ -27,23 +27,26 @@ def main() -> None:
     r = args.radius
     oiv = intrinsic.oloid_intrinsic_volumes(r)
     biv = sk.ball_intrinsic_volumes(r)
-    pairs = [
-        ("ball", "ball", biv, biv),
-        ("oloid", "ball", oiv, biv),
-        ("oloid", "oloid", oiv, oiv),
+    rows = [
+        (name_k, name_m, sk.intersection_expectations(k, m))
+        for name_k, name_m, k, m in [
+            ("ball", "ball", biv, biv),
+            ("oloid", "ball", oiv, biv),
+            ("oloid", "oloid", oiv, oiv),
+        ]
     ]
+    # sample before printing, so that a failure leaves stdout empty
+    mc_v, mc_s = sk.mc_ball_ball_expectations(args.mc_samples, args.seed)
+    exact = rows[0][2]
+    z_v = (mc_v.value - exact.v3 / r**3) / mc_v.err_est
+    z_s = (mc_s.value - exact.surface / r**2) / mc_s.err_est
+
     print(f"{'K':>6s} {'M':>6s} {'E[b]/r':>14s} {'E[S]/r^2':>14s} {'E[V]/r^3':>14s}")
-    for name_k, name_m, k, m in pairs:
-        e = sk.intersection_expectations(k, m)
+    for name_k, name_m, e in rows:
         print(
             f"{name_k:>6s} {name_m:>6s} {e.mean_width / r:14.10f} "
             f"{e.surface / r**2:14.10f} {e.v3 / r**3:14.10f}"
         )
-
-    mc_v, mc_s = sk.mc_ball_ball_expectations(args.mc_samples, args.seed)
-    exact = sk.intersection_expectations(biv, biv)
-    z_v = (mc_v.value - exact.v3 / r**3) / mc_v.err_est
-    z_s = (mc_s.value - exact.surface / r**2) / mc_s.err_est
     print(
         f"\nball-ball Monte Carlo ({args.mc_samples} samples, seed {args.seed}):\n"
         f"  E[V] = {mc_v.value:.7f} +- {mc_v.err_est:.1e}  (z = {z_v:+.2f}, "

@@ -92,14 +92,12 @@ def _emit(records: list[OutputRecord], fmt: str, out) -> None:
                 f'{err}, "units_power_of_r": {r.units_power_of_r}}}'
             )
         out.write("[\n" + ",\n".join(rows) + "\n]\n")
-    elif fmt == "csv":
-        import csv
-
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["quantity", "route", "value", "err_est", "units_power_of_r"])
+    elif fmt == "csv":  # identifiers and numbers only: nothing to quote
+        rows = ["quantity,route,value,err_est,units_power_of_r"]
         for r in records:
             err = "" if r.err_est is None else _fmt(r.err_est)
-            writer.writerow([r.quantity, r.route, _fmt(r.value), err, r.units_power_of_r])
+            rows.append(f"{r.quantity},{r.route},{_fmt(r.value)},{err},{r.units_power_of_r}")
+        out.write("\n".join(rows) + "\n")
     else:
         for r in records:
             err = "" if r.err_est is None else f"  (err_est {_fmt(r.err_est, 3)})"

@@ -4,9 +4,8 @@ Three entry points:
 
 * :func:`integrate` -- adaptive bisection driven by a nested pair of
   Gauss-Legendre rules (10 and 21 points); the per-panel error estimate is
-  the difference between the two rules.  The summed estimate is floored at
-  ``eps * sum |panel values|``, the rounding error of the panel sums, so a
-  target below that floor is refused at once rather than after the budget.
+  the difference between the two rules, floored at the rounding error of
+  the panel sums, ``eps * sum |panel values|``.
 * :func:`integrate_singular` -- tanh-sinh (double exponential) rule for
   integrands with integrable power-type singularities at the endpoints.
   The integrand is never evaluated exactly at an endpoint, and abscissas
@@ -20,14 +19,13 @@ Three entry points:
 
 All routines target the mixed tolerance ``max(tol, tol * |I|)``: the
 constants computed in this project span two orders of magnitude, so a
-purely absolute or purely relative target would be wrong at one end.  Two
-caps bound the work: ``MAX_PANELS`` = 2^15 panels for :func:`integrate`
-(31 + 62 * (2^15 - 1) = 2,031,585 evaluations) and 12 step halvings for
-:func:`integrate_singular` (13 levels, at most 99,921 evaluations).
-Reaching a cap raises :class:`QuadratureError` carrying the best estimate
-reached; a silent inaccurate result is never returned.
-Evaluation and summation order are fixed, so results are deterministic for
-fixed inputs.
+purely absolute or purely relative target would be wrong at one end.  No
+inaccurate result is returned: either rule raises :class:`QuadratureError`,
+carrying its best estimate, at once for a non-finite value or a target below
+the rounding floor of its sums, and otherwise at its cap: ``MAX_PANELS`` =
+2^15 panels for :func:`integrate` (2,031,585 evaluations) or 12 step
+halvings for :func:`integrate_singular` (at most 99,921 evaluations).  The
+order of evaluation and summation is fixed, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -106,7 +104,7 @@ class Estimate(NamedTuple):
 
 
 class QuadratureError(RuntimeError):
-    """Integration budget exhausted; ``best`` holds the estimate reached."""
+    """Non-finite, below the rounding floor, or out of budget; ``best`` is the last estimate."""
 
     def __init__(self, message: str, best: Estimate):
         super().__init__(message)
@@ -118,6 +116,27 @@ def _check_args(a: float, b: float, tol: float) -> None:
         raise ValueError(f"need finite a < b, got a={a!r}, b={b!r}")
     if not (tol > 0.0):
         raise ValueError(f"tolerance must be positive, got {tol!r}")
+
+
+def _settle(best: Estimate, target: float, floor: float, spent: bool, a: float, b: float) -> bool:
+    """Whether ``best`` meets ``target``; False asks the rule to refine further.
+
+    Both rules fail only here: a :class:`QuadratureError` carrying ``best`` is
+    raised if its value is not finite or its error is NaN, if the rounding
+    ``floor`` lies above the target, or if the budget is ``spent``.
+    """
+    if not math.isfinite(best.value) or math.isnan(best.err_est):
+        reason = "non-finite estimate"
+    elif best.err_est <= target:
+        return True
+    elif floor > target:
+        reason = "target below the rounding floor"
+    elif spent:
+        reason = "no convergence within budget"
+    else:
+        return False
+    where = f"on [{a}, {b}]: err_est={best.err_est:.3e} after {best.evals} evaluations"
+    raise QuadratureError(f"{reason} {where}", best)
 
 
 def _gk_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
@@ -153,11 +172,10 @@ def integrate(
 
     Adaptive bisection: the panel with the largest error estimate (ties
     broken by creation order, so results are deterministic) is split until
-    the summed estimates meet the target.  Budget: ``MAX_PANELS`` = 2^15
-    panels, that is 2,031,585 evaluations; reaching it raises
-    :class:`QuadratureError`.  ``err_est`` is never below the rounding floor
-    ``eps * sum |panel values|``, and a target below that floor raises
-    :class:`QuadratureError` as soon as the floor alone exceeds it.
+    the summed estimates meet the target.  ``err_est`` is never below the
+    rounding floor ``eps * sum |panel values|``.  Raises
+    :class:`QuadratureError` as soon as the estimate is not finite or the
+    floor alone exceeds the target, or after ``MAX_PANELS`` = 2^15 panels.
     """
     _check_args(a, b, tol)
     v, e = _gk_panel(f, a, b)
@@ -169,24 +187,13 @@ def integrate(
     while True:
         target = max(tol, tol * abs(run_v))
         exhausted = len(heap) >= MAX_PANELS
-        if run_e <= target or run_floor > target or exhausted:
+        # "not >" also stops at a NaN error estimate, which is then refused
+        if not run_e > target or run_floor > target or exhausted:
             # resync the running sums, which drift, before deciding
             run_v, run_e, run_floor = _sums(heap)
-            target = max(tol, tol * abs(run_v))
             best = Estimate(run_v, max(run_e, run_floor), evals)
-            if best.err_est <= target:
+            if _settle(best, max(tol, tol * abs(run_v)), run_floor, exhausted, a, b):
                 return best
-            if run_floor > target or exhausted:
-                reason = (
-                    "target below the rounding floor"
-                    if run_floor > target
-                    else "no convergence within budget"
-                )
-                raise QuadratureError(
-                    f"{reason} on [{a}, {b}]: err_est={best.err_est:.3e} "
-                    f"after {evals} evaluations",
-                    best,
-                )
             continue
         neg_e, _, pa, pb, pv = heapq.heappop(heap)
         pm = 0.5 * (pa + pb)
@@ -210,17 +217,15 @@ def integrate_singular(
     transformed integrand decays doubly exponentially toward the endpoints,
     so the trapezoid sum converges even for ``(x - a)**(-1/2)`` behaviour.
     The step is halved per level until two consecutive levels agree to the
-    target; ``f`` is never called exactly at ``a`` or ``b``.  Budget: 12
-    halvings of the step (13 levels), at most 99,921 evaluations; reaching
-    it raises :class:`QuadratureError`.  The error estimate is never below
-    the rounding error of the level sum, so a target under that floor is
-    reported as :class:`QuadratureError`.
+    target; ``f`` is never called exactly at ``a`` or ``b``.  The error
+    estimate is never below the rounding error of the level sum.  Raises
+    :class:`QuadratureError` as soon as a level sum is not finite or two
+    levels agree within a floor above the target, or after 12 halvings.
     """
     _check_args(a, b, tol)
     half = 0.5 * (b - a)
     evals = 0
-    prev = None
-    err = math.inf
+    prev = math.inf  # levels 0 and 1 are not compared: a coarse match may be chance
     for level in range(_TS_MAX_LEVELS + 1):
         h = 0.5**level
         terms: list[float] = []
@@ -239,15 +244,13 @@ def integrate_singular(
             dxdu = half * _HALF_PI * math.cosh(u) * sech * sech
             # k = 0 is the centre, one node; every other k is a pair
             largest = 0.0
-            for i, x in enumerate((b - half * delta, a + half * delta)[: 1 + (k > 0)]):
+            for x in (b - half * delta, a + half * delta)[: 1 + (k > 0)]:
                 if a < x < b:
                     term = dxdu * f(x)
                     evals += 1
                     terms.append(term)
                     running += term
-                    # a NaN high term is loud, but a NaN low term whose high
-                    # twin rounded onto b is quiet: max(0.0, nan) is 0.0
-                    largest = max(largest, abs(term)) if i else abs(term)
+                    largest = max(largest, abs(term))  # a NaN ends the tail: refused below
             if k > 0 and h * largest <= 1e-3 * tol * max(1.0, h * abs(running)):
                 quiet += 1
                 if quiet >= 2:
@@ -256,16 +259,13 @@ def integrate_singular(
                 quiet = 0
             k += 1
         s = h * math.fsum(terms)
-        if prev is not None:
-            rounding = _TS_ROUNDING_ULPS * _EPS * h * math.fsum(map(abs, terms))
-            err = max(abs(s - prev), rounding)
-            if level >= 2 and err <= max(tol, tol * abs(s)):
-                return Estimate(s, err, evals)
-        prev = s
-    best = Estimate(prev if prev is not None else 0.0, err, evals)
-    raise QuadratureError(
-        f"tanh-sinh refinement exhausted on ({a}, {b}): err_est={err:.3e}", best
-    )
+        diff = abs(s - prev)
+        rounding = _TS_ROUNDING_ULPS * _EPS * h * math.fsum(map(abs, terms))
+        best = Estimate(s, max(diff, rounding), evals)
+        floor = rounding if diff <= rounding else 0.0  # binds once the levels agree
+        if _settle(best, max(tol, tol * abs(s)), floor, level == _TS_MAX_LEVELS, a, b):
+            return best
+        prev = s if level else prev
 
 
 def integrate2d(

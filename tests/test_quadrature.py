@@ -144,11 +144,46 @@ def test_singular_budget_exhaustion():
     assert math.isfinite(exc.value.best.value)
     # 13 levels hold at most 99,921 nodes
     assert exc.value.best.evals < 100_000
-    # a NaN term never counts as small, except a low one whose high twin
-    # rounded onto b: the tail then ends and pins this count
-    with pytest.raises(QuadratureError) as exc:
-        integrate_singular(lambda x: math.nan, 0.0, 1.0, 1e-6)
-    assert exc.value.best.evals == 52_003
+    assert "no convergence within budget" in str(exc.value)
+
+
+def test_singular_compares_levels_from_the_third():
+    # exp's first two levels (steps 1 and 1/2) agree to 4e-5 by chance
+    res = integrate_singular(math.exp, 0.0, 1.0, 1e-2)
+    assert res.value == pytest.approx(math.e - 1.0, rel=1e-9)
+
+
+def _nan_above(x):
+    return math.nan if x > 0.3 else 1.0
+
+
+# the first Gauss-Legendre panel takes 31 evaluations; the first tanh-sinh
+# level (step 1) has at most 13 nodes, k = 0..6
+@pytest.mark.parametrize("rule,first", [(integrate, 31), (integrate_singular, 13)])
+@pytest.mark.parametrize("f", [lambda x: math.nan, _nan_above], ids=["nan", "nan_above"])
+@pytest.mark.parametrize("tol", [1e-6, 1e-12])
+def test_nan_is_refused_at_once(rule, first, f, tol):
+    with pytest.raises(QuadratureError, match="^non-finite estimate") as exc:
+        rule(f, 0.0, 1.0, tol)
+    assert math.isnan(exc.value.best.value)
+    assert 0 < exc.value.best.evals <= first
+
+
+def test_integrate_refuses_a_nan_error_estimate():
+    # NaN at one 10-point node only: the 21-point value stays finite
+    node = 0.5 + 0.5 * quadrature._X10[0]
+    with pytest.raises(QuadratureError, match="^non-finite estimate") as exc:
+        integrate(lambda x: math.nan if x == node else 1.0, 0.0, 1.0, 1e-6)
+    assert exc.value.best.value == 1.0
+    assert math.isnan(exc.value.best.err_est)
+    assert exc.value.best.evals == 31
+
+
+def test_integrate_refuses_an_infinite_value():
+    # bisection toward 0 reaches 1/x = inf, where the mixed target is inf too
+    with pytest.raises(QuadratureError, match="^non-finite estimate") as exc:
+        integrate(lambda x: 1.0 / (x * (1.0 - x)), 0.0, 1.0, 1e-6)
+    assert exc.value.best.value == math.inf
 
 
 def test_invalid_arguments():
@@ -219,11 +254,33 @@ def test_singular_err_est_covers_rounding(route, exact, tol):
 
 
 def test_singular_target_below_rounding_is_refused():
-    with pytest.raises(QuadratureError) as exc:
+    with pytest.raises(QuadratureError, match="^target below the rounding floor") as exc:
         integrate_singular(math.exp, 0.0, 1.0, 1e-17)
     best = exc.value.best
     assert best.value == pytest.approx(math.e - 1.0, rel=1e-15)
     assert best.err_est > 1e-17
+    # refused once two levels agree within the floor, not after 12 halvings
+    assert best.evals < 300
+
+
+@pytest.mark.parametrize(
+    "route,integral",  # best carries the integral before the route scales it
+    [
+        (intrinsic.surface_area_quadrature, math.pi * math.sqrt(2.0)),
+        (intrinsic.volume_quadrature, HALF_OLOID_VOLUME),
+        (intrinsic.curvature_integral_quadrature, K_SQRT3_2),
+        (intrinsic.edge_integral_direct, 0.5 * intrinsic.edge_integral()),
+    ],
+)
+@pytest.mark.parametrize("tol", [5e-16, 1e-16, 1e-17])
+def test_singular_routes_refuse_a_sub_floor_target_at_once(route, integral, tol):
+    with pytest.raises(QuadratureError, match="^target below the rounding floor") as exc:
+        route(tol)
+    best = exc.value.best
+    assert best.evals < 300
+    # two levels agreed within the floor, so best is as good as a converged result
+    assert best.value == pytest.approx(integral, rel=1e-15)
+    assert abs(best.value - integral) <= best.err_est
 
 
 _GK_ROUTES = {

@@ -82,6 +82,7 @@ def test_mesh_convergence_rows():
 def test_script_failure_is_one_line_without_traceback(name, args):
     proc = spawn_script(name, *args)
     assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""  # computed before anything is printed
     assert proc.stderr.startswith("computational failure: ")
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
