@@ -25,16 +25,9 @@ def main() -> None:
     args = parser.parse_args()
 
     r = args.radius
-    oiv = intrinsic.oloid_intrinsic_volumes(r)
-    biv = sk.ball_intrinsic_volumes(r)
-    rows = [
-        (name_k, name_m, sk.intersection_expectations(k, m))
-        for name_k, name_m, k, m in [
-            ("ball", "ball", biv, biv),
-            ("oloid", "ball", oiv, biv),
-            ("oloid", "oloid", oiv, oiv),
-        ]
-    ]
+    vectors = {"oloid": intrinsic.oloid_intrinsic_volumes, "ball": sk.ball_intrinsic_volumes}
+    pairs = [pair.split("-") for pair in ("ball-ball", "oloid-ball", "oloid-oloid")]
+    rows = [(k, m, sk.intersection_expectations(vectors[k](r), vectors[m](r))) for k, m in pairs]
     # sample before printing, so that a failure leaves stdout empty
     mc_v, mc_s = sk.mc_ball_ball_expectations(args.mc_samples, args.seed)
     exact = rows[0][2]

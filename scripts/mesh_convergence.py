@@ -6,18 +6,25 @@ Usage: python scripts/mesh_convergence.py [--max-power 8]
 
 import argparse
 import math
+import sys
 import time
 
 import numpy  # noqa: F401  -- loaded here so the first timed row excludes its import
 
-from oloid import intrinsic
+from oloid import cli, intrinsic
+from oloid.quadrature import QuadratureError
 from oloid.surface import build_mesh, mesh_area, mesh_volume
+
+MAX_POWER = cli.MAX_RESOLUTION.bit_length() - 1  # 2**p stays within `oloid mesh`'s cap
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--max-power", type=int, default=8, help="largest resolution is 2**p"
+        "--max-power",
+        type=cli._integer("--max-power", 3, MAX_POWER, span=f"3..{MAX_POWER}"),
+        default=8,
+        help=f"largest resolution is 2**p, p in 3..{MAX_POWER}",
     )
     args = parser.parse_args()
 
@@ -40,4 +47,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except (QuadratureError, ValueError, ArithmeticError) as exc:  # as the oloid CLI
+        sys.exit(f"computational failure: {exc}")

@@ -140,10 +140,9 @@ def _cmd_constants(args) -> int:
         _scaled("surface_area", "quadrature", sa_q, r2, 2),
         OutputRecord("volume", "closed", intrinsic.volume() * r3, None, 3),
         _scaled("volume", "quadrature", vol_q, r3, 3),
-        OutputRecord("mean_curvature_integral", "closed", intrinsic.mean_curvature_total(r),
-                     None, 1),
+        OutputRecord("mean_curvature_integral", "closed", iv.mean_curvature_integral, None, 1),
         _scaled("mean_curvature_integral", "quadrature", m_q, r, 1),
-        OutputRecord("mean_width", "curvature", intrinsic.mean_width(r), None, 1),
+        OutputRecord("mean_width", "curvature", iv.mean_width, None, 1),
         _scaled("mean_width", "direct", direct_width, r, 1),
         _scaled("coxeter_I", "quadrature", cox, 1.0, 0),
         OutputRecord("edge_integral", "reduced", intrinsic.edge_integral() * r, None, 1),
@@ -175,13 +174,9 @@ def _cmd_kinematic(args) -> int:
     if args.mc_samples is not None and args.pair != "ball-ball":
         raise ValueError(f"Monte Carlo oracle is only available for ball-ball, not {args.pair}")
     r = args.radius
-    oloid_iv = intrinsic.oloid_intrinsic_volumes(r)
-    ball_iv = steiner_kinematic.ball_intrinsic_volumes(r)
-    body_k, body_m = {
-        "ball-ball": (ball_iv, ball_iv),
-        "oloid-ball": (oloid_iv, ball_iv),
-        "oloid-oloid": (oloid_iv, oloid_iv),
-    }[args.pair]
+    vectors = {"oloid": intrinsic.oloid_intrinsic_volumes,
+               "ball": steiner_kinematic.ball_intrinsic_volumes}
+    body_k, body_m = (vectors[name](r) for name in args.pair.split("-"))
     funcs = steiner_kinematic.kinematic_functionals(body_k, body_m)
     expect = steiner_kinematic.intersection_expectations(body_k, body_m)  # ValueError if I0 = 0
     records = [OutputRecord(f"I{j}", "kinematic", v, None, 3 + j) for j, v in enumerate(funcs)]

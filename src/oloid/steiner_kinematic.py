@@ -82,7 +82,6 @@ class ParallelBody(NamedTuple):
     mean_curvature: float
     surface: float
     volume: float
-    rho: float
 
 
 def parallel_body(r: float, rho: float) -> ParallelBody:
@@ -93,19 +92,14 @@ def parallel_body(r: float, rho: float) -> ParallelBody:
 
     with M1 the mean-curvature integral at r = 1, read off the oloid's
     intrinsic-volume vector; the volume is :func:`steiner_volume` of the
-    radius-r vector.
+    radius-r vector, and the two calls that build it check r and rho.
     """
-    if not r > 0.0:
-        raise ValueError(f"radius must be positive, got {r!r}")
-    if not rho >= 0.0:
-        raise ValueError(f"offset must be nonnegative, got {rho!r}")
     m1 = oloid_intrinsic_volumes(1.0).mean_curvature_integral
     four_pi = 4.0 * math.pi
     return ParallelBody(
         mean_curvature=m1 * r + four_pi * rho,
         surface=four_pi * r * r + 2.0 * m1 * r * rho + four_pi * rho * rho,
         volume=steiner_volume(oloid_intrinsic_volumes(r), rho),
-        rho=rho,
     )
 
 

@@ -122,8 +122,8 @@ def build_mesh(n: int) -> TriMesh:
     along the diagonal of increasing (m + t).  Cells degenerating to zero
     area are kept: they contribute nothing to area or volume and keep the
     indexing regular.  Vertices are in ascending lexicographic (x, y, z)
-    order.  The grid points are welded and dropped before the triangles are
-    built, which are then renumbered in place: the two never coexist.
+    order.  The grid points are welded and dropped before the one triangle
+    array of both sheets is built and renumbered in place: the two never coexist.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -165,15 +165,30 @@ def _unwelded_points(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _grid_triangles(n: int) -> np.ndarray:
     """Outward-wound int32 triangles of both sheets over the grid points of
-    :func:`_unwelded_points`."""
+    :func:`_unwelded_points`, z >= 0 sheet first, in one (4n^2, 3) array.
+    w_m x w_t points into the body, so the (m, t)-counterclockwise split is
+    outward on the mirrored sheet, whose rows are written first; the z >= 0
+    sheet's rows are their reversed-winding copy, and the mirrored rows are
+    then offset in place to their own grid points."""
     import numpy as np
 
-    plus = _sheet_triangles(n)
-    tris = np.empty((2 * len(plus), 3), dtype=np.int32)
-    # w_m x w_t points into the body, so the (m, t)-counterclockwise split is
-    # outward on the mirrored sheet and must be reversed on the z >= 0 sheet
-    tris[: len(plus)] = plus[:, ::-1]
-    np.add(plus, (n + 1) * (n + 1), out=tris[len(plus) :])
+    nt1, k = n + 1, n * n
+    cells = np.arange(n, dtype=np.int32)
+    v00 = (cells[:, None] * nt1 + cells).ravel()
+    v10, v01, v11 = v00 + nt1, v00 + 1, v00 + nt1 + 1
+    tris = np.empty((4 * k, 3), dtype=np.int32)
+    t1, t2 = tris[2 * k : 3 * k], tris[3 * k :]  # the mirrored sheet
+    t1[:, 0], t1[:, 1], t1[:, 2] = v00, v10, v11
+    t2[:, 0], t2[:, 1], t2[:, 2] = v00, v11, v01
+    # Cells split along the diagonal of increasing m + t, except cell
+    # (0, n - 1): there that diagonal joins two weld vertices (k_A row and
+    # flat-generator column) shared by both sheets, which would put four
+    # triangles on one edge; the other diagonal has a sheet-private vertex.
+    c = n - 1
+    t1[c] = (v00[c], v10[c], v01[c])
+    t2[c] = (v10[c], v11[c], v01[c])
+    tris[: 2 * k] = tris[2 * k :, ::-1]
+    tris[2 * k :] += nt1 * nt1
     return tris
 
 
@@ -205,38 +220,6 @@ def _distinct_rows(columns: tuple[np.ndarray, ...], inverse: np.ndarray) -> np.n
     return rows
 
 
-def _sheet_triangles(n: int) -> np.ndarray:
-    """Cell triangulation of one sheet, counterclockwise in the (m, t) plane,
-    as int32."""
-    import numpy as np
-
-    nt1 = n + 1
-    cells = np.arange(n, dtype=np.int32)
-    v00 = (cells[:, None] * nt1 + cells).ravel()
-    v10, v01, v11 = v00 + nt1, v00 + 1, v00 + nt1 + 1
-    tris = np.empty((2 * len(v00), 3), dtype=np.int32)
-    t1, t2 = tris[: len(v00)], tris[len(v00) :]
-    t1[:, 0], t1[:, 1], t1[:, 2] = v00, v10, v11
-    t2[:, 0], t2[:, 1], t2[:, 2] = v00, v11, v01
-    # Cells split along the diagonal of increasing m + t, except cell
-    # (0, n - 1): there that diagonal joins two weld vertices (k_A row and
-    # flat-generator column) shared by both sheets, which would put four
-    # triangles on one edge; the other diagonal has a sheet-private vertex.
-    c = n - 1
-    t1[c] = (v00[c], v10[c], v01[c])
-    t2[c] = (v10[c], v11[c], v01[c])
-    return tris
-
-
-def _real_triangles(tris: np.ndarray) -> np.ndarray:
-    distinct = (
-        (tris[:, 0] != tris[:, 1])
-        & (tris[:, 1] != tris[:, 2])
-        & (tris[:, 0] != tris[:, 2])
-    )
-    return tris[distinct]
-
-
 # Triangles per block in build_mesh, the closure check, volume and area: a
 # block's temporaries (a few MB) stay far below the mesh itself.
 _TRIANGLE_BLOCK = 1 << 15
@@ -252,8 +235,10 @@ def _edge_keys(mesh: TriMesh) -> np.ndarray:
     keys = np.empty(3 * len(mesh.triangles), dtype=np.int64)
     count = 0
     for start in range(0, len(mesh.triangles), _TRIANGLE_BLOCK):
-        a = _real_triangles(mesh.triangles[start : start + _TRIANGLE_BLOCK])
+        a = mesh.triangles[start : start + _TRIANGLE_BLOCK]
         b = np.roll(a, -1, axis=1)  # edges (a0, a1), (a1, a2), (a2, a0)
+        real = (a != b).all(axis=1)  # a degenerate triangle has a zero-length edge
+        a, b = a[real], b[real]
         k = keys[count : count + a.size].reshape(a.shape)
         np.minimum(a, b, out=k)
         k *= nv

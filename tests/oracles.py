@@ -213,14 +213,18 @@ def unique_weld(n):
     return unique, inverse.reshape(-1)[surface._grid_triangles(n)].astype(np.int64)
 
 
-def closed_by_unique(mesh):
-    """Closure check by distinct directed edges and sorted reverse keys."""
-    tris = mesh.triangles
-    tris = tris[
+def real_triangles(tris):
+    """The rows of ``tris`` with three distinct vertex indices."""
+    return tris[
         (tris[:, 0] != tris[:, 1])
         & (tris[:, 1] != tris[:, 2])
         & (tris[:, 0] != tris[:, 2])
     ]
+
+
+def closed_by_unique(mesh):
+    """Closure check by distinct directed edges and sorted reverse keys."""
+    tris = real_triangles(mesh.triangles)
     edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
     nv = len(mesh.vertices)
     keys = edges[:, 0] * nv + edges[:, 1]
@@ -232,12 +236,7 @@ def closed_by_unique(mesh):
 
 def euler_by_unique(mesh):
     """V - E + F with the edges counted by np.unique over sorted index pairs."""
-    tris = mesh.triangles
-    tris = tris[
-        (tris[:, 0] != tris[:, 1])
-        & (tris[:, 1] != tris[:, 2])
-        & (tris[:, 0] != tris[:, 2])
-    ]
+    tris = real_triangles(mesh.triangles)
     edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
     n_edges = len(np.unique(np.sort(edges, axis=1), axis=0))
     return len(mesh.vertices) - n_edges + len(tris)

@@ -175,6 +175,13 @@ def test_appendix_identity():
         intrinsic.appendix_identity_check(0.0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_appendix_check_tolerance_error_comes_from_the_quadrature(tol):
+    with pytest.raises(ValueError) as exc:
+        intrinsic.appendix_identity_check(tol)
+    assert str(exc.value) == f"tolerance must be positive, got {tol!r}"
+
+
 def test_reference_constants_against_mpmath():
     """40-digit oracle for V_REF, I_REF, M_REF and B_REF, independent of the
     package's AGM and double-precision quadrature.  B is computed twice: as

@@ -86,3 +86,13 @@ def test_script_failure_is_one_line_without_traceback(name, args):
     assert proc.stderr.startswith("computational failure: ")
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("power", ["11", "2", "x"])
+def test_mesh_convergence_refuses_a_power_beyond_the_cli_cap(power):
+    # 2**11 would build a mesh of about 1 GB that `oloid mesh` refuses
+    proc = spawn_script("mesh_convergence.py", "--max-power", power)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: ")
+    assert "Traceback" not in proc.stderr

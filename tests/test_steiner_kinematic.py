@@ -173,6 +173,28 @@ def test_parallel_body_validates_arguments():
         sk.parallel_body(1.0, -0.1)
 
 
+@pytest.mark.parametrize(
+    "r, rho, message",
+    [
+        (-1.0, 0.5, "radius must be positive, got -1.0"),
+        (1.0, math.nan, "offset must be nonnegative, got nan"),
+        (math.nan, -1.0, "radius must be positive, got nan"),
+        (0.0, -2.0, "radius must be positive, got 0.0"),
+        (1.0, -0.5, "offset must be nonnegative, got -0.5"),
+    ],
+)
+def test_parallel_body_errors_come_from_the_vector_and_steiner_checks(r, rho, message):
+    """parallel_body has no range check of its own: oloid_intrinsic_volumes
+    rejects r and steiner_volume rho, r first, with these exact messages."""
+    with pytest.raises(ValueError) as exc:
+        sk.parallel_body(r, rho)
+    assert str(exc.value) == message
+
+
+def test_parallel_body_has_three_fields():
+    assert sk.ParallelBody._fields == ("mean_curvature", "surface", "volume")
+
+
 # --- ball intrinsic volumes ---------------------------------------------------
 
 

@@ -462,7 +462,7 @@ def test_mesh_is_closed_rejects_broken_mesh(broken):
 
 
 def _repeated_directed_edges(mesh):
-    tris = sf._real_triangles(mesh.triangles)
+    tris = oracles.real_triangles(mesh.triangles)
     edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
     return len(edges) - len(np.unique(edges, axis=0))
 
