@@ -2,9 +2,11 @@
 """Mesh convergence study: discrete volume/area errors and observed orders.
 
 Usage: python scripts/mesh_convergence.py [--max-power 8]
+
+A bad flag exits 64, and a computational failure exits 1 with one
+``computational failure:`` line, as in ``oloid``.
 """
 
-import argparse
 import math
 import sys
 import time
@@ -12,14 +14,13 @@ import time
 import numpy  # noqa: F401  -- loaded here so the first timed row excludes its import
 
 from oloid import cli, intrinsic
-from oloid.quadrature import QuadratureError
 from oloid.surface import build_mesh, mesh_area, mesh_volume
 
 MAX_POWER = cli.MAX_RESOLUTION.bit_length() - 1  # 2**p stays within `oloid mesh`'s cap
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = cli._Parser(description=__doc__)
     parser.add_argument(
         "--max-power",
         type=cli._integer("--max-power", 3, MAX_POWER, span=f"3..{MAX_POWER}"),
@@ -47,7 +48,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    except (QuadratureError, ValueError, ArithmeticError) as exc:  # as the oloid CLI
-        sys.exit(f"computational failure: {exc}")
+    sys.exit(cli._run(main))

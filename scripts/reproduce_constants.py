@@ -2,21 +2,23 @@
 """Print every oloid constant by each implemented route, with deviations.
 
 Usage: python scripts/reproduce_constants.py [--tol 1e-10] [--mc-samples 1000000]
+
+Flags are checked as ``oloid`` checks them (a bad one exits 64), and a
+computational failure exits 1 with one ``computational failure:`` line.
 """
 
-import argparse
 import math
 import sys
 
-from oloid import intrinsic, support
-from oloid.quadrature import QuadratureError
+from oloid import cli, intrinsic, support
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--tol", type=float, default=1e-10)
-    parser.add_argument("--mc-samples", type=int, default=1_000_000)
-    parser.add_argument("--seed", type=int, default=7)
+    parser = cli._Parser(description=__doc__)
+    parser.add_argument("--tol", type=cli._real("--tol", strict=True), default=1e-10)
+    samples = cli._integer("--mc-samples", support._MIN_SAMPLES, cli.MAX_MC_SAMPLES)
+    parser.add_argument("--mc-samples", type=samples, default=1_000_000)
+    parser.add_argument("--seed", type=cli._SEED, default=7)
     args = parser.parse_args()
 
     rows = [
@@ -50,7 +52,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    except (QuadratureError, ValueError, ArithmeticError) as exc:  # as the oloid CLI
-        sys.exit(f"computational failure: {exc}")
+    sys.exit(cli._run(main))

@@ -11,10 +11,10 @@ non-finite or out-of-range value is a usage error, printed under the
 subcommand's usage line.  Every computational failure (a quadrature target
 that cannot be met, a degenerate body pair, or a result that overflows, is
 not finite, or scales with r and underflows to 0 or a subnormal number)
-reaches ``main``, which prints one stderr line starting
-``computational failure:`` and nothing to stdout.  Output is deterministic
-for identical flags and seeds: 17 significant digits in json/csv, 12 in
-text, and a fixed record order.
+reaches ``_run``, which ``main`` and the scripts share: it prints one
+stderr line starting ``computational failure:`` and nothing to stdout.
+Output is deterministic for identical flags and seeds: 17 significant
+digits in json/csv, 12 in text, and a fixed record order.
 """
 
 from __future__ import annotations
@@ -34,6 +34,39 @@ EXIT_FAILURE = 1
 EXIT_ROUTE_DISAGREEMENT = 2
 EXIT_USAGE = 64
 
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # usage errors exit 64, not argparse's 2
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _real(flag: str, strict: bool):
+    """``type=`` converter: a finite float, positive if ``strict``, else nonnegative."""
+    def convert(text: str) -> float:
+        x = float(text)
+        if not math.isfinite(x):
+            raise argparse.ArgumentTypeError(f"{flag} must be a finite number")
+        if x < 0.0 or strict and x == 0.0:
+            sign = "positive" if strict else "nonnegative"
+            raise argparse.ArgumentTypeError(f"{flag} must be {sign}")
+        return x
+    convert.__name__ = "float"  # argparse reports unparsable text as "invalid float value"
+    return convert
+
+
+def _integer(flag: str, lo: int, hi: int, why: str = "", span: str = ""):
+    """``type=`` converter: an int in lo..hi; ``span`` names the range, ``why`` explains hi."""
+    def convert(text: str) -> int:
+        n = int(text)
+        if n < lo or n > hi:
+            bound = f"in {span}" if span else f"at least {lo}" if n < lo else f"at most {hi}{why}"
+            raise argparse.ArgumentTypeError(f"{flag} must be {bound}")
+        return n
+    convert.__name__ = "int"
+    return convert
+
+
 # Mesh memory grows as n^2: at n = 1024 the mesh holds 96 MB and the command
 # peaks at about 250 MB and takes about 5.5 s on a 2-core VM.  Every stage
 # after the build works on fixed-size blocks of the mesh; the closure check's
@@ -45,8 +78,8 @@ MAX_RESOLUTION = 1024
 # is linear in the sample count: the ball-ball oracle takes about 10 s at the
 # cap on a 2-core VM (2 threads), with a peak RSS of 36.0 MB, against 35.7 MB
 # at 2*10^7 and 34.6 MB at 10^4.
-MIN_MC_SAMPLES = 10_000
 MAX_MC_SAMPLES = 1_000_000_000
+_SEED = _integer("--seed", 0, support.SEED_LIMIT - 1, span="0..2**64-1")
 
 
 class OutputRecord(NamedTuple):
@@ -55,12 +88,6 @@ class OutputRecord(NamedTuple):
     value: float
     err_est: float | None
     units_power_of_r: int
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # usage errors exit 64, not argparse's 2
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _fmt(value: float, digits: int = 17) -> str:
@@ -220,32 +247,6 @@ def _cmd_mesh(args) -> int:
     return EXIT_OK
 
 
-def _real(flag: str, strict: bool):
-    """``type=`` converter: a finite float, positive if ``strict``, else nonnegative."""
-    def convert(text: str) -> float:
-        x = float(text)
-        if not math.isfinite(x):
-            raise argparse.ArgumentTypeError(f"{flag} must be a finite number")
-        if x < 0.0 or strict and x == 0.0:
-            sign = "positive" if strict else "nonnegative"
-            raise argparse.ArgumentTypeError(f"{flag} must be {sign}")
-        return x
-    convert.__name__ = "float"  # argparse reports unparsable text as "invalid float value"
-    return convert
-
-
-def _integer(flag: str, lo: int, hi: int, why: str = "", span: str = ""):
-    """``type=`` converter: an int in lo..hi; ``span`` names the range, ``why`` explains hi."""
-    def convert(text: str) -> int:
-        n = int(text)
-        if n < lo or n > hi:
-            bound = f"in {span}" if span else f"at least {lo}" if n < lo else f"at most {hi}{why}"
-            raise argparse.ArgumentTypeError(f"{flag} must be {bound}")
-        return n
-    convert.__name__ = "int"
-    return convert
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="oloid", description="Integral geometry of the oloid")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -270,11 +271,11 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("kinematic", help="motion integrals and intersection expectations")
     p.add_argument("--pair", choices=["ball-ball", "oloid-ball", "oloid-oloid"], required=True)
     p.add_argument("--radius", **radius)
-    p.add_argument("--mc-samples", type=_integer("--mc-samples", MIN_MC_SAMPLES, MAX_MC_SAMPLES),
-                   help=f"Monte Carlo oracle sample count, {MIN_MC_SAMPLES}..{MAX_MC_SAMPLES} "
+    fewest = steiner_kinematic._MIN_SAMPLES
+    p.add_argument("--mc-samples", type=_integer("--mc-samples", fewest, MAX_MC_SAMPLES),
+                   help=f"Monte Carlo oracle sample count, {fewest}..{MAX_MC_SAMPLES} "
                    "(ball-ball only)")
-    p.add_argument("--seed", type=_integer("--seed", 0, support.SEED_LIMIT - 1, span="0..2**64-1"),
-                   default=0, help="Monte Carlo seed, 0..2**64-1")
+    p.add_argument("--seed", type=_SEED, default=0, help="Monte Carlo seed, 0..2**64-1")
     p.add_argument("--format", **fmt)
     p.set_defaults(func=_cmd_kinematic)
 
@@ -288,15 +289,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _run(func, *args) -> int | None:
+    """``func(*args)``, or EXIT_FAILURE after one ``computational failure:`` stderr line."""
+    try:
+        return func(*args)
+    except (QuadratureError, ValueError, ArithmeticError) as exc:
+        kind = f"{type(exc).__name__}: " if isinstance(exc, ArithmeticError) else ""
+        print(f"computational failure: {kind}{exc}", file=sys.stderr)
+        return EXIT_FAILURE
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (QuadratureError, ValueError) as exc:  # target not met; I0 = 0 at tiny radii
-        print(f"computational failure: {exc}", file=sys.stderr)
-    except ArithmeticError as exc:  # overflow, underflow to 0, or a non-finite result
-        print(f"computational failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-    return EXIT_FAILURE
+    return _run(args.func, args)
 
 
 if __name__ == "__main__":

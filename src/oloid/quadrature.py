@@ -14,18 +14,18 @@ Three entry points:
 * :func:`integrate2d` -- iterated integration (inner theta, outer phi) over
   a phi-dependent theta range, with the tolerance split between the levels.
   Nothing in the package calls it: the direct mean width does its inner
-  integrals in closed form.  Each inner call has its own panel cap, so only
-  the product of the outer and the inner cap bounds the work of a call.
+  integrals in closed form.
 
 All routines target the mixed tolerance ``max(tol, tol * |I|)``: the
 constants computed in this project span two orders of magnitude, so a
 purely absolute or purely relative target would be wrong at one end.  No
 inaccurate result is returned: either rule raises :class:`QuadratureError`,
-carrying its best estimate, at once for a non-finite value or a target below
-the rounding floor of its sums, and otherwise at its cap: ``MAX_PANELS`` =
-2^15 panels for :func:`integrate` (2,031,585 evaluations) or 12 step
-halvings for :func:`integrate_singular` (at most 99,921 evaluations).  The
-order of evaluation and summation is fixed, so results are deterministic.
+carrying its best estimate, at once for a non-finite value (an integrand's
+own ``ArithmeticError`` counts as one) or a target below the rounding floor
+of its sums, and otherwise at its cap: ``MAX_PANELS`` = 2^15 panels for
+:func:`integrate` (2,031,585 evaluations) or 12 step halvings for
+:func:`integrate_singular` (at most 99,921 evaluations).  The order of
+evaluation and summation is fixed, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -114,18 +114,19 @@ class QuadratureError(RuntimeError):
 def _check_args(a: float, b: float, tol: float) -> None:
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got a={a!r}, b={b!r}")
-    if not (tol > 0.0):
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be {'finite' if tol > 0.0 else 'positive'}, got {tol!r}")
 
 
-def _settle(best: Estimate, target: float, floor: float, spent: bool, a: float, b: float) -> bool:
+def _settle(best: Estimate, target: float, floor: float, spent: bool, a: float, b: float,
+            fault: ArithmeticError | None = None) -> bool:
     """Whether ``best`` meets ``target``; False asks the rule to refine further.
 
     Both rules fail only here: a :class:`QuadratureError` carrying ``best`` is
-    raised if its value is not finite or its error is NaN, if the rounding
-    ``floor`` lies above the target, or if the budget is ``spent``.
+    raised for a non-finite value, a NaN error or the integrand's own ``fault``,
+    a rounding ``floor`` above the target, or a ``spent`` budget.
     """
-    if not math.isfinite(best.value) or math.isnan(best.err_est):
+    if fault is not None or not math.isfinite(best.value) or math.isnan(best.err_est):
         reason = "non-finite estimate"
     elif best.err_est <= target:
         return True
@@ -136,7 +137,7 @@ def _settle(best: Estimate, target: float, floor: float, spent: bool, a: float, 
     else:
         return False
     where = f"on [{a}, {b}]: err_est={best.err_est:.3e} after {best.evals} evaluations"
-    raise QuadratureError(f"{reason} {where}", best)
+    raise QuadratureError(f"{reason} {where}", best) from fault
 
 
 def _gk_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
@@ -178,7 +179,10 @@ def integrate(
     floor alone exceeds the target, or after ``MAX_PANELS`` = 2^15 panels.
     """
     _check_args(a, b, tol)
-    v, e = _gk_panel(f, a, b)
+    try:
+        v, e, fault = *_gk_panel(f, a, b), None
+    except ArithmeticError as exc:  # f's own, refused as a non-finite value
+        v, e, fault = math.nan, math.nan, exc
     # heap entries: (-err, insertion index, left, right, value)
     heap = [(-e, 0, a, b, v)]
     counter = 1
@@ -188,19 +192,22 @@ def integrate(
         target = max(tol, tol * abs(run_v))
         exhausted = len(heap) >= MAX_PANELS
         # "not >" also stops at a NaN error estimate, which is then refused
-        if not run_e > target or run_floor > target or exhausted:
+        if fault is not None or not run_e > target or run_floor > target or exhausted:
             # resync the running sums, which drift, before deciding
             run_v, run_e, run_floor = _sums(heap)
             best = Estimate(run_v, max(run_e, run_floor), evals)
-            if _settle(best, max(tol, tol * abs(run_v)), run_floor, exhausted, a, b):
+            if _settle(best, max(tol, tol * abs(run_v)), run_floor, exhausted, a, b, fault):
                 return best
             continue
-        neg_e, _, pa, pb, pv = heapq.heappop(heap)
+        neg_e, _, pa, pb, pv = heap[0]  # stays in the heap until both halves are evaluated
         pm = 0.5 * (pa + pb)
-        v1, e1 = _gk_panel(f, pa, pm)
-        v2, e2 = _gk_panel(f, pm, pb)
+        try:
+            (v1, e1), (v2, e2) = _gk_panel(f, pa, pm), _gk_panel(f, pm, pb)
+        except ArithmeticError as exc:  # the heap still holds the last complete estimate
+            fault = exc
+            continue
         evals += 2 * _EVALS_PER_PANEL
-        heapq.heappush(heap, (-e1, counter, pa, pm, v1))
+        heapq.heapreplace(heap, (-e1, counter, pa, pm, v1))
         heapq.heappush(heap, (-e2, counter + 1, pm, pb, v2))
         counter += 2
         run_v += v1 + v2 - pv
@@ -226,6 +233,7 @@ def integrate_singular(
     half = 0.5 * (b - a)
     evals = 0
     prev = math.inf  # levels 0 and 1 are not compared: a coarse match may be chance
+    best = Estimate(math.nan, math.nan, 0)  # the last complete level
     for level in range(_TS_MAX_LEVELS + 1):
         h = 0.5**level
         terms: list[float] = []
@@ -246,7 +254,10 @@ def integrate_singular(
             largest = 0.0
             for x in (b - half * delta, a + half * delta)[: 1 + (k > 0)]:
                 if a < x < b:
-                    term = dxdu * f(x)
+                    try:
+                        term = dxdu * f(x)
+                    except ArithmeticError as exc:  # f's own, refused as a non-finite value
+                        _settle(best, tol, 0.0, False, a, b, exc)
                     evals += 1
                     terms.append(term)
                     running += term

@@ -42,25 +42,17 @@ __all__ = [
     "mc_ball_ball_expectations",
 ]
 
-
-def _gamma_half(x: float) -> float:
-    # Gamma at positive integer or half-integer x via Gamma(x+1) = x Gamma(x),
-    # anchored at Gamma(1/2) = sqrt(pi) and Gamma(1) = 1; the only arguments
-    # needed here are 1 + k/2 for small k.
-    if x == 0.5:
-        return math.sqrt(math.pi)
-    if x == 1.0:
-        return 1.0
-    if x < 0.5 or (2.0 * x) != int(2.0 * x):
-        raise ValueError(f"gamma recursion defined for half-integers >= 1/2, got {x!r}")
-    return (x - 1.0) * _gamma_half(x - 1.0)
+_MIN_SAMPLES = 10_000  # fewest samples the ball-ball oracle takes
 
 
 def unit_ball_volume(k: int) -> float:
     """Volume kappa_k = pi^(k/2) / Gamma(1 + k/2) of the unit k-ball."""
     if k < 0:
         raise ValueError(f"dimension must be nonnegative, got {k}")
-    return math.pi ** (k / 2.0) / _gamma_half(1.0 + k / 2.0)
+    gamma = math.sqrt(math.pi) if k % 2 else 1.0  # Gamma(1/2) or Gamma(1), then x Gamma(x)
+    for i in range(2 - k % 2, k + 1, 2):
+        gamma *= i / 2
+    return math.pi ** (k / 2.0) / gamma
 
 
 def steiner_volume(body: IntrinsicVolumes, rho: float) -> float:
@@ -112,19 +104,10 @@ def kinematic_coefficient(n: int, j: int, k: int) -> float:
     """
     if not 0 <= j <= k <= n:
         raise ValueError(f"need 0 <= j <= k <= n, got (n, j, k) = ({n}, {j}, {k})")
-    num = (
-        math.factorial(k)
-        * unit_ball_volume(k)
-        * math.factorial(n + j - k)
-        * unit_ball_volume(n + j - k)
-    )
-    den = (
-        math.factorial(j)
-        * unit_ball_volume(j)
-        * math.factorial(n)
-        * unit_ball_volume(n)
-    )
-    return num / den
+    def flag(i: int) -> float:  # i! kappa_i
+        return math.factorial(i) * unit_ball_volume(i)
+
+    return flag(k) * flag(n + j - k) / (flag(j) * flag(n))
 
 
 def ball_intrinsic_volumes(r: float) -> IntrinsicVolumes:
@@ -228,8 +211,8 @@ def mc_ball_ball_expectations(n: int, seed: int) -> tuple[Estimate, Estimate]:
     the mean-width sampler: they run on up to min(cores, 8) threads, and
     every bit of the result is independent of the thread count.
     """
-    if n < 10_000:
-        raise ValueError(f"need at least 10^4 samples, got {n}")
+    if n < _MIN_SAMPLES:
+        raise ValueError(f"need at least {_MIN_SAMPLES} samples, got {n}")
     v_sums, v_sq, s_sums, s_sq = _philox_shards(n, seed, _ball_ball_leaf, 1 << 15, 4).T
     return (
         Estimate(*_mean_se(n, v_sums, v_sq), n),

@@ -43,6 +43,7 @@ _SHARD = 1 << 16
 _MAX_THREADS = 8
 # The Philox key is two uint64 words, (seed, shard).
 SEED_LIMIT = 1 << 64
+_MIN_SAMPLES = 1000  # fewest samples the mean-width sampler takes
 
 
 _HALF_PI = 0.5 * math.pi
@@ -297,7 +298,7 @@ def mean_width_montecarlo(n: int, seed: int) -> quad.Estimate:
     is independent of the thread count and the scheduling.  Returns the
     mean, its standard error and ``n`` as an ``Estimate``.
     """
-    if n < 1000:
-        raise ValueError(f"need at least 1000 samples, got {n}")
+    if n < _MIN_SAMPLES:
+        raise ValueError(f"need at least {_MIN_SAMPLES} samples, got {n}")
     sums, sqsums = _philox_shards(n, seed, _width_leaf, 1 << 13, 2).T
     return quad.Estimate(*_mean_se(n, sums, sqsums), n)

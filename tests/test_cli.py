@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oloid
-from oloid import cli
+from oloid import cli, steiner_kinematic
 
 B_REF = 2.190676966231589
 V_REF = 3.05241846842437485669720053193
@@ -487,9 +487,9 @@ def test_mc_samples_cap_by_validation_and_documented(capsys):
     assert f"--mc-samples must be at most {cap}" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         parser.parse_args(["kinematic", "--help"])
-    assert f"{cli.MIN_MC_SAMPLES}..{cap}" in capsys.readouterr().out
+    assert f"{steiner_kinematic._MIN_SAMPLES}..{cap}" in capsys.readouterr().out
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    assert f"--mc-samples {cli.MIN_MC_SAMPLES}..{cap}" in readme
+    assert f"--mc-samples {steiner_kinematic._MIN_SAMPLES}..{cap}" in readme
 
 
 # -- property: every argv ends in 0, 1, 2 or 64, never a traceback ----------
@@ -509,8 +509,10 @@ _ANY_FLOAT = _float_text() | _NON_FINITE | st.sampled_from(["0", "-0.0", "x", ""
 _TOL = _float_text(min_value=1e-9) | _float_text(max_value=0.0) | _NON_FINITE
 _FORMAT = st.sampled_from(["text", "json", "csv", "xml"])
 # valid sample counts would run a sampler: only rejected counts are drawn
-_MC = _HUGE_INT | st.integers(min_value=-5, max_value=cli.MIN_MC_SAMPLES - 1) | st.just(
-    cli.MAX_MC_SAMPLES + 1
+_MC = (
+    _HUGE_INT
+    | st.integers(min_value=-5, max_value=steiner_kinematic._MIN_SAMPLES - 1)
+    | st.just(cli.MAX_MC_SAMPLES + 1)
 )
 _SEED = _HUGE_INT | st.integers(min_value=0, max_value=2**64 - 1)
 # valid resolutions stay <= 8; larger ones are drawn only above the cap

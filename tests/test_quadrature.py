@@ -186,6 +186,55 @@ def test_integrate_refuses_an_infinite_value():
     assert exc.value.best.value == math.inf
 
 
+def test_integrate_refuses_its_integrands_overflow_with_the_last_estimate():
+    # x ** -0.999 raises OverflowError once bisection reaches a subnormal x
+    with pytest.raises(QuadratureError, match="^non-finite estimate") as exc:
+        integrate(lambda x: x ** -0.999, 0.0, 1.0, 1e-6)
+    best = exc.value.best
+    assert math.isfinite(best.value) and math.isfinite(best.err_est)
+    assert best.evals > 31
+    assert isinstance(exc.value.__cause__, OverflowError)
+
+
+def _raising_after(calls):
+    count = iter(range(calls))
+
+    def f(x):
+        if next(count, None) is None:
+            raise OverflowError("integrand overflow")
+        return math.sqrt(x)
+
+    return f
+
+
+# the last complete estimate is integrate's first panel (31 evaluations) or
+# integrate_singular's level 1 (24 for sqrt); an integrand that raises before
+# any estimate is complete is refused with a NaN one
+@pytest.mark.parametrize("rule,calls,evals", [
+    (integrate, 0, 31), (integrate, 40, 31), (integrate_singular, 0, 0),
+    (integrate_singular, 30, 24),
+])
+def test_an_integrands_arithmetic_error_ends_either_rule_in_settle(rule, calls, evals):
+    with pytest.raises(QuadratureError, match="^non-finite estimate") as exc:
+        rule(_raising_after(calls), 0.0, 1.0, 1e-12)
+    best = exc.value.best
+    assert isinstance(exc.value.__cause__, OverflowError)
+    assert best.evals == evals
+    assert math.isnan(best.value) if calls == 0 else abs(best.value - 2.0 / 3.0) < 1e-3
+
+
+def test_infinite_tolerance_is_refused_by_both_rules():
+    # any estimate would meet an infinite target
+    for call in (
+        lambda: integrate(math.sin, 0.0, 2.0, math.inf),
+        lambda: integrate_singular(math.sin, 0.0, 2.0, math.inf),
+        lambda: support.mean_width_direct(math.inf),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == "tolerance must be finite, got inf"
+
+
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         integrate(math.sin, 1.0, 0.0, 1e-10)

@@ -1,6 +1,8 @@
-"""Smoke runs of the scripts in ``scripts/``: exit 0 and the expected rows in order,
-or exit 1 with one ``computational failure`` line when the inputs cannot be computed."""
+"""Runs of the scripts in ``scripts/``: exit 0 and the expected rows in order, exit 64
+with a usage line for a flag ``oloid`` would refuse, or exit 1 with one
+``computational failure`` line when the inputs cannot be computed."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import oloid
+from oloid import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -52,39 +55,65 @@ def test_reproduce_constants_rows():
     assert lines[-2].startswith("Monte Carlo std error:")
 
 
-def test_kinematic_table_rows():
-    lines = run_script("kinematic_table.py", "--mc-samples", "10000")
-    assert [line.split()[:2] for line in lines[1:4]] == [
-        ["ball", "ball"],
-        ["oloid", "ball"],
-        ["oloid", "oloid"],
-    ]
-    assert lines[5].startswith("ball-ball Monte Carlo (10000 samples")
-    assert lines[6].split()[0] == "E[V]"
-    assert lines[7].split()[0] == "E[S]"
-
-
 def test_mesh_convergence_rows():
-    lines = run_script("mesh_convergence.py", "--max-power", "4")
-    assert lines[0].split()[0] == "n"
-    assert [line.split()[0] for line in lines[1:]] == ["8", "16"]
+    # the last 14 characters hold the timing column, the only one that varies
+    lines = run_script("mesh_convergence.py", "--max-power", "5")
+    assert [line[:-14] for line in lines] == [
+        "    n  vol rel err   order  area rel err   order",
+        "    8    8.377e-02       -     5.535e-02       -",
+        "   16    2.162e-02   1.954     1.451e-02   1.931",
+        "   32    5.447e-03   1.989     3.671e-03   1.983",
+    ]
 
 
+# bench/check.py parses these rows: the bytes are those printed before the scripts
+# took the CLI's parser, and must not move
 @pytest.mark.parametrize(
-    "name,args",
+    "args,digest",
     [
-        ("reproduce_constants.py", ("--mc-samples", "5")),  # ValueError
-        ("reproduce_constants.py", ("--tol", "1e-17")),  # QuadratureError
-        ("kinematic_table.py", ("--radius", "0", "--mc-samples", "10000")),
-        ("kinematic_table.py", ("--seed", "-1", "--mc-samples", "10000")),
+        (("--tol", "1e-9", "--mc-samples", "10000", "--seed", "7"),
+         "660addb3cc3cda8149cf248ece90458c98110edd60354abef4f189e17c8415ed"),
+        (("--tol", "1e-12", "--mc-samples", "20000", "--seed", "3"),
+         "4215d77c9ff55a3e0942b1deb77166b9ce2bf24af4b5c7573e45bb9c6b8a1295"),
     ],
 )
-def test_script_failure_is_one_line_without_traceback(name, args):
-    proc = spawn_script(name, *args)
+def test_reproduce_constants_stdout_is_pinned(args, digest):
+    proc = spawn_script("reproduce_constants.py", *args)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+def test_script_failure_is_one_line_without_traceback(capsys):
+    proc = spawn_script("reproduce_constants.py", "--tol", "1e-17")  # QuadratureError
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""  # computed before anything is printed
     assert proc.stderr.startswith("computational failure: ")
     assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+    # the same line as `oloid constants`, whose first route fails the same way
+    assert cli.main(["constants", "--tol", "1e-17"]) == 1
+    assert capsys.readouterr().err == proc.stderr
+
+
+@pytest.mark.parametrize(
+    "name,args,message",
+    [
+        ("reproduce_constants.py", ("--tol", "inf"), "--tol must be a finite number"),
+        ("reproduce_constants.py", ("--tol", "nan"), "--tol must be a finite number"),
+        ("reproduce_constants.py", ("--tol", "0"), "--tol must be positive"),
+        ("reproduce_constants.py", ("--mc-samples", "999"), "--mc-samples must be at least 1000"),
+        ("reproduce_constants.py", ("--mc-samples", "5"), "--mc-samples must be at least 1000"),
+        ("reproduce_constants.py", ("--seed", "-1"), "--seed must be in 0..2**64-1"),
+        ("mesh_convergence.py", ("--max-power", "11"), "--max-power must be in 3..10"),
+        ("mesh_convergence.py", ("--max-power", "x"), "invalid int value: 'x'"),
+    ],
+)
+def test_script_refuses_what_the_cli_refuses(name, args, message):
+    proc = spawn_script(name, *args)
+    assert proc.returncode == 64, proc.stderr
+    assert proc.stdout == ""  # refused before anything is computed
+    assert proc.stderr.startswith("usage: ")
+    assert proc.stderr.endswith(f"{name}: error: argument {args[0]}: {message}\n")
     assert "Traceback" not in proc.stderr
 
 
@@ -92,7 +121,7 @@ def test_script_failure_is_one_line_without_traceback(name, args):
 def test_mesh_convergence_refuses_a_power_beyond_the_cli_cap(power):
     # 2**11 would build a mesh of about 1 GB that `oloid mesh` refuses
     proc = spawn_script("mesh_convergence.py", "--max-power", power)
-    assert proc.returncode == 2, proc.stderr
+    assert proc.returncode == 64, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("usage: ")
     assert "Traceback" not in proc.stderr

@@ -47,6 +47,15 @@ def test_unit_ball_volumes():
         sk.unit_ball_volume(-1)
 
 
+def test_unit_ball_volume_against_mpmath():
+    # Gamma(1 + k/2) is multiplied up from sqrt(pi) or 1; no math.gamma involved
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for k in range(61):
+            exact = mp.pi ** (mp.mpf(k) / 2) / mp.gamma(1 + mp.mpf(k) / 2)
+            assert abs(sk.unit_ball_volume(k) / exact - 1) < 1e-14, k
+
+
 def test_kinematic_coefficient_examples():
     assert sk.kinematic_coefficient(3, 0, 1) == pytest.approx(0.5, rel=1e-14)
     assert sk.kinematic_coefficient(3, 1, 2) == pytest.approx(
@@ -55,15 +64,15 @@ def test_kinematic_coefficient_examples():
 
 
 def test_kinematic_coefficient_sweep():
-    for n in range(1, 6):
+    # one product of i! kappa_i factors: the symmetry k -> n + j - k and the
+    # unit values at k = j and k = n hold bit for bit
+    for n in range(1, 8):
         for j in range(0, n + 1):
             for k in range(j, n + 1):
                 a = sk.kinematic_coefficient(n, j, k)
-                assert a == pytest.approx(
-                    sk.kinematic_coefficient(n, j, n + j - k), rel=1e-13
-                )
-            assert sk.kinematic_coefficient(n, j, j) == pytest.approx(1.0, rel=1e-14)
-            assert sk.kinematic_coefficient(n, j, n) == pytest.approx(1.0, rel=1e-14)
+                assert a == sk.kinematic_coefficient(n, j, n + j - k)
+            assert sk.kinematic_coefficient(n, j, j) == 1.0
+            assert sk.kinematic_coefficient(n, j, n) == 1.0
 
 
 def test_kinematic_coefficient_rejects_bad_indices():
