@@ -132,18 +132,14 @@ def _emit(records: list[OutputRecord], fmt: str, out) -> None:
 
 
 def _route_disagreements(records: list[OutputRecord], eps: float) -> list[str]:
-    """Quantities whose routes differ by more than 10*eps (mixed abs/rel)."""
-    by_quantity: dict[str, list[OutputRecord]] = {}
-    for r in records:
-        by_quantity.setdefault(r.quantity, []).append(r)
-    bad = []
-    for name, group in by_quantity.items():
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                a, b = group[i], group[j]
-                if abs(a.value - b.value) > 10.0 * eps * max(1.0, abs(a.value), abs(b.value)):
-                    bad.append(f"{name}: {a.route}={_fmt(a.value)} vs {b.route}={_fmt(b.value)}")
-    return bad
+    """Quantities whose routes differ by more than 10*eps (mixed abs/rel); each
+    record is compared with the next, so a quantity's routes must be adjacent."""
+    return [
+        f"{a.quantity}: {a.route}={_fmt(a.value)} vs {b.route}={_fmt(b.value)}"
+        for a, b in zip(records, records[1:])
+        if a.quantity == b.quantity
+        and abs(a.value - b.value) > 10.0 * eps * max(1.0, abs(a.value), abs(b.value))
+    ]
 
 
 def _scaled(quantity: str, route: str, est: Estimate, scale: float, power: int) -> OutputRecord:

@@ -17,15 +17,15 @@ Three entry points:
   integrals in closed form.
 
 All routines target the mixed tolerance ``max(tol, tol * |I|)``: the
-constants computed in this project span two orders of magnitude, so a
-purely absolute or purely relative target would be wrong at one end.  No
-inaccurate result is returned: either rule raises :class:`QuadratureError`,
-carrying its best estimate, at once for a non-finite value (an integrand's
-own ``ArithmeticError`` counts as one) or a target below the rounding floor
-of its sums, and otherwise at its cap: ``MAX_PANELS`` = 2^15 panels for
-:func:`integrate` (2,031,585 evaluations) or 12 step halvings for
-:func:`integrate_singular` (at most 99,921 evaluations).  The order of
-evaluation and summation is fixed, so results are deterministic.
+constants computed in this project span two orders of magnitude, so a purely
+absolute or purely relative target would be wrong at one end.  No inaccurate
+result is returned: either rule raises :class:`QuadratureError`, carrying its
+best estimate (:func:`integrate`'s last finite one, if any), at once for a
+non-finite value (an integrand's own ``ArithmeticError`` counts as one) or a
+target below the rounding floor of its sums, and otherwise at its cap:
+``MAX_PANELS`` = 2^15 panels for :func:`integrate` (2,031,585 evaluations) or
+12 step halvings for :func:`integrate_singular` (at most 99,921 evaluations);
+the order of evaluation and summation is fixed, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -175,8 +175,9 @@ def integrate(
     broken by creation order, so results are deterministic) is split until
     the summed estimates meet the target.  ``err_est`` is never below the
     rounding floor ``eps * sum |panel values|``.  Raises
-    :class:`QuadratureError` as soon as the estimate is not finite or the
-    floor alone exceeds the target, or after ``MAX_PANELS`` = 2^15 panels.
+    :class:`QuadratureError`, with the last finite estimate if there is one,
+    as soon as a panel is not finite or the floor alone exceeds the target,
+    or after ``MAX_PANELS`` = 2^15 panels.
     """
     _check_args(a, b, tol)
     try:
@@ -203,6 +204,8 @@ def integrate(
         pm = 0.5 * (pa + pb)
         try:
             (v1, e1), (v2, e2) = _gk_panel(f, pa, pm), _gk_panel(f, pm, pb)
+            if not math.isfinite(v1 + v2 + e1 + e2):  # refused like f's own overflow
+                raise FloatingPointError(f"non-finite panel on [{pa}, {pb}]")
         except ArithmeticError as exc:  # the heap still holds the last complete estimate
             fault = exc
             continue

@@ -62,10 +62,7 @@ def steiner_volume(body: IntrinsicVolumes, rho: float) -> float:
     """
     if not rho >= 0.0:
         raise ValueError(f"offset must be nonnegative, got {rho!r}")
-    vs = (body.v0, body.v1, body.v2, body.v3)
-    return math.fsum(
-        rho ** (3 - j) * unit_ball_volume(3 - j) * vs[j] for j in range(4)
-    )
+    return math.fsum(rho ** (3 - j) * unit_ball_volume(3 - j) * body[j] for j in range(4))
 
 
 class ParallelBody(NamedTuple):

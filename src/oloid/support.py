@@ -129,13 +129,12 @@ def mean_width_direct(tol: float) -> quad.Estimate:
     has a square-root singularity at pi/6, which would make the adaptive
     error estimate converge slowly and loosely; in xi the integrand is
     smooth.  On [pi/6, pi/2] phi stays the variable.  Each outer integral
-    gets half of the budget, tol * pi/8, so that after the 4/pi factor the
-    two add up to tol; ``err_est`` is the sum of their estimates times
-    4/pi, and ``evals`` counts outer integrand evaluations.
+    gets tol * pi/8, half of tol after the 4/pi factor, or 5e-324 where that
+    underflows (then refused below the rounding floor); ``err_est`` is 4/pi
+    times the sum of their estimates, ``evals`` counts outer integrand calls.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
-    part_tol = tol * math.pi / 8.0
+    quad._check_args(0.0, 1.0, tol)  # before the split: a refusal names this tol
+    part_tol = max(tol * math.pi / 8.0, math.ulp(0.0))
     switching = quad.integrate(_switching_integrand, 0.25 * math.pi, _HALF_PI, part_tol)
     b_only = quad.integrate(_b_only_integrand, math.pi / 6.0, _HALF_PI, part_tol)
     scale = 4.0 / math.pi

@@ -136,8 +136,7 @@ def build_mesh(n: int) -> TriMesh:
     vertices = _distinct_rows(points, inverse)
     del points
     tris = _grid_triangles(n)
-    for start in range(0, len(tris), _TRIANGLE_BLOCK):  # renumber in place
-        block = tris[start : start + _TRIANGLE_BLOCK]
+    for block in _blocks(tris, _TRIANGLE_BLOCK):  # renumber in place
         block[...] = inverse[block]
     return TriMesh(vertices=vertices, triangles=tris)
 
@@ -225,6 +224,11 @@ def _distinct_rows(columns: tuple[np.ndarray, ...], inverse: np.ndarray) -> np.n
 _TRIANGLE_BLOCK = 1 << 15
 
 
+def _blocks(array: np.ndarray, rows: int):
+    """Consecutive views of ``rows`` rows of ``array`` each; the last may be shorter."""
+    return (array[start : start + rows] for start in range(0, len(array), rows))
+
+
 def _edge_keys(mesh: TriMesh) -> np.ndarray:
     """Sorted keys 2*(min(a, b)*nv + max(a, b)) + (a > b), one per directed
     edge a -> b of each non-degenerate triangle: ``key >> 1`` is the
@@ -234,8 +238,7 @@ def _edge_keys(mesh: TriMesh) -> np.ndarray:
     nv = len(mesh.vertices)
     keys = np.empty(3 * len(mesh.triangles), dtype=np.int64)
     count = 0
-    for start in range(0, len(mesh.triangles), _TRIANGLE_BLOCK):
-        a = mesh.triangles[start : start + _TRIANGLE_BLOCK]
+    for a in _blocks(mesh.triangles, _TRIANGLE_BLOCK):
         b = np.roll(a, -1, axis=1)  # edges (a0, a1), (a1, a2), (a2, a0)
         real = (a != b).all(axis=1)  # a degenerate triangle has a zero-length edge
         a, b = a[real], b[real]
@@ -280,13 +283,9 @@ def _block_fsum(mesh: TriMesh, term) -> float:
 
     import numpy as np
 
-    v, f = mesh.vertices, mesh.triangles
-    return math.fsum(
-        itertools.chain.from_iterable(
-            term(np.take(v, f[start : start + _TRIANGLE_BLOCK], axis=0)).tolist()
-            for start in range(0, len(f), _TRIANGLE_BLOCK)
-        )
-    )
+    blocks = _blocks(mesh.triangles, _TRIANGLE_BLOCK)
+    terms = (term(np.take(mesh.vertices, block, axis=0)).tolist() for block in blocks)
+    return math.fsum(itertools.chain.from_iterable(terms))
 
 
 def mesh_volume(mesh: TriMesh) -> float:
@@ -371,12 +370,9 @@ def _text_table(values: np.ndarray, spec: str, width: int) -> np.ndarray:
     import numpy as np
 
     table = np.empty((len(values), width), dtype=np.uint8)
-    for start in range(0, len(values), _OBJ_BLOCK_ROWS):
-        chunk = values[start : start + _OBJ_BLOCK_ROWS].tolist()
-        text = f"%-{width}{spec}" * len(chunk) % tuple(chunk)
-        table[start : start + len(chunk)] = np.frombuffer(
-            text.encode("ascii"), dtype=np.uint8
-        ).reshape(-1, width)
+    for chunk, out in zip(_blocks(values, _OBJ_BLOCK_ROWS), _blocks(table, _OBJ_BLOCK_ROWS)):
+        text = f"%-{width}{spec}" * len(chunk) % tuple(chunk.tolist())
+        out[...] = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, width)
     return table
 
 
@@ -407,14 +403,13 @@ def _write_obj(mesh: TriMesh, fh: IO[bytes]) -> None:
     for k in range(3):
         mags = _distinct_rows((np.abs(v[:, k]),), rows[:, k])
         tables.append(_text_table(mags[:, 0], ".16e", _OBJ_FIELD))
-    for start in range(0, len(v), _OBJ_BLOCK_ROWS):
-        block = v[start : start + _OBJ_BLOCK_ROWS]
+    for block, block_rows in zip(_blocks(v, _OBJ_BLOCK_ROWS), _blocks(rows, _OBJ_BLOCK_ROWS)):
         fields = np.empty(block.shape + (1 + _OBJ_FIELD,), dtype=np.uint8)
         fields[..., 0] = np.where(np.signbit(block) & ~np.isnan(block), ord("-"), ord(" "))
         for k, table in enumerate(tables):
-            fields[:, k, 1:] = np.take(table, rows[start : start + _OBJ_BLOCK_ROWS, k], axis=0)
+            fields[:, k, 1:] = np.take(table, block_rows[:, k], axis=0)
         fh.write(_obj_lines("v", fields))
     del rows, tables, mags  # freed before the f table is built
     table = _text_table(np.arange(1, len(v) + 1), "d", len(str(len(v))))
-    for start in range(0, len(f), _OBJ_BLOCK_ROWS):
-        fh.write(_obj_lines("f", np.take(table, f[start : start + _OBJ_BLOCK_ROWS], axis=0)))
+    for block in _blocks(f, _OBJ_BLOCK_ROWS):
+        fh.write(_obj_lines("f", np.take(table, block, axis=0)))

@@ -340,6 +340,29 @@ def test_route_disagreement_detector():
     assert not _route_disagreements(records, 1e-3)
 
 
+@pytest.mark.parametrize("quantity", [
+    "surface_area", "volume", "mean_curvature_integral", "mean_width", "edge_integral",
+])
+def test_constants_exits_2_on_a_route_disagreement(monkeypatch, quantity):
+    # the check compares adjacent records, so this also pins that constants
+    # writes each quantity's two routes next to each other
+    _, want, _ = run_main(["constants", "--format", "json"])
+    scaled = cli._scaled  # builds every quadrature / direct record
+
+    def off(name, route, est, scale, power):
+        record = scaled(name, route, est, scale, power)
+        return record._replace(value=record.value * (1.0 + 1e-3)) if name == quantity else record
+
+    monkeypatch.setattr(cli, "_scaled", off)
+    code, out, err = run_main(["constants", "--format", "json"])
+    assert code == cli.EXIT_ROUTE_DISAGREEMENT
+    got, want = json.loads(out), json.loads(want)
+    assert [(r["quantity"], r["route"]) for r in got] == [(r["quantity"], r["route"]) for r in want]
+    assert [r["quantity"] for r in got if r not in want] == [quantity]
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"route disagreement: {quantity}: ")
+
+
 def run_main(argv):
     """In-process ``cli.main``: (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()

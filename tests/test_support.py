@@ -178,9 +178,19 @@ def test_mean_width_direct_agrees_with_curvature_route():
     assert abs(sp.mean_width_direct(1e-9).value - intrinsic.mean_width(1.0)) <= 1e-8
 
 
-def test_mean_width_direct_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        sp.mean_width_direct(0.0)
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_mean_width_direct_rejects_bad_tol(tol):
+    # checked before the split into tol * pi/8, so the message names this tol
+    with pytest.raises(ValueError) as exc:
+        sp.mean_width_direct(tol)
+    assert str(exc.value).endswith(f", got {tol!r}")
+
+
+@pytest.mark.parametrize("tol", [5e-324, 1e-323, 1e-300])
+def test_mean_width_direct_refuses_a_tol_below_the_rounding_floor(tol):
+    # 5e-324 * pi/8 underflows to 0; it is refused as every tol that small is
+    with pytest.raises(quad.QuadratureError, match="^target below the rounding floor"):
+        sp.mean_width_direct(tol)
 
 
 @pytest.mark.parametrize("tol", LADDER)

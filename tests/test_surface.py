@@ -536,6 +536,28 @@ def test_export_obj_matches_line_oracle_across_blocks(monkeypatch, tmp_path):
     assert _obj(small, tmp_path) == oracles.obj_text(small)
 
 
+def test_empty_mesh_walks_no_block(tmp_path):
+    mesh = sf.TriMesh(vertices=np.empty((0, 3)), triangles=np.empty((0, 3), dtype=np.int32))
+    assert sf.mesh_volume(mesh) == oracles.fsum_volume(mesh) == 0.0
+    assert sf.mesh_area(mesh) == oracles.fsum_area(mesh) == 0.0
+    assert _obj(mesh, tmp_path) == oracles.obj_text(mesh) == ""
+
+
+@pytest.mark.parametrize("rows", [2, 256])
+def test_blocks_that_divide_the_row_counts(monkeypatch, tmp_path, rows):
+    # n = 8: 130 vertices and 256 triangles, so every block is full (2) or
+    # the triangles are one block (256)
+    mesh = oracles.cached_mesh(8)
+    monkeypatch.setattr(sf, "_TRIANGLE_BLOCK", rows)
+    monkeypatch.setattr(sf, "_OBJ_BLOCK_ROWS", rows)
+    assert len(mesh.triangles) % rows == 0
+    np.testing.assert_array_equal(sf.build_mesh(8).triangles, mesh.triangles)
+    assert sf.mesh_is_closed(mesh)
+    assert sf.mesh_volume(mesh) == oracles.fsum_volume(mesh)
+    assert sf.mesh_area(mesh) == oracles.fsum_area(mesh)
+    assert _obj(mesh, tmp_path) == oracles.obj_text(mesh)
+
+
 def _vertices_only(vertices, triangles=((0, 0, 0),)):
     return sf.TriMesh(
         vertices=np.asarray(vertices, dtype=np.float64),
