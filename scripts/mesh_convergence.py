@@ -11,8 +11,6 @@ import math
 import sys
 import time
 
-import numpy  # noqa: F401  -- loaded here so the first timed row excludes its import
-
 from oloid import cli, intrinsic
 from oloid.surface import build_mesh, mesh_area, mesh_volume
 
@@ -28,6 +26,7 @@ def main() -> None:
         help=f"largest resolution is 2**p, p in 3..{MAX_POWER}",
     )
     args = parser.parse_args()
+    import numpy  # noqa: F401  -- loaded here so the first timed row excludes its import
 
     v_ref = intrinsic.volume()
     s_ref = intrinsic.surface_area()

@@ -9,10 +9,10 @@ Exit codes: 0 success, 1 computational failure, 2 route disagreement, 64
 usage error.  Each flag's ``type=`` converter checks its range, so a
 non-finite or out-of-range value is a usage error, printed under the
 subcommand's usage line.  Every computational failure (a quadrature target
-that cannot be met, a degenerate body pair, or a result that overflows, is
-not finite, or scales with r and underflows to 0 or a subnormal number)
-reaches ``_run``, which ``main`` and the scripts share: it prints one
-stderr line starting ``computational failure:`` and nothing to stdout.
+that cannot be met, a degenerate body pair, a result that overflows, is not
+finite, or scales with r and underflows to 0 or a subnormal number, or a
+missing numpy) reaches ``_run``, which ``main`` and the scripts share: it
+prints one stderr line starting ``computational failure:`` and nothing to stdout.
 Output is deterministic for identical flags and seeds: 17 significant
 digits in json/csv, 12 in text, and a fixed record order.
 """
@@ -289,8 +289,8 @@ def _run(func, *args) -> int | None:
     """``func(*args)``, or EXIT_FAILURE after one ``computational failure:`` stderr line."""
     try:
         return func(*args)
-    except (QuadratureError, ValueError, ArithmeticError) as exc:
-        kind = f"{type(exc).__name__}: " if isinstance(exc, ArithmeticError) else ""
+    except (QuadratureError, ValueError, ArithmeticError, ImportError) as exc:
+        kind = "" if isinstance(exc, (QuadratureError, ValueError)) else f"{type(exc).__name__}: "
         print(f"computational failure: {kind}{exc}", file=sys.stderr)
         return EXIT_FAILURE
 

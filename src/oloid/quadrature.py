@@ -184,9 +184,8 @@ def integrate(
         v, e, fault = *_gk_panel(f, a, b), None
     except ArithmeticError as exc:  # f's own, refused as a non-finite value
         v, e, fault = math.nan, math.nan, exc
-    # heap entries: (-err, insertion index, left, right, value)
+    # heap entries: (-err, tie-breaker rising with insertion, left, right, value)
     heap = [(-e, 0, a, b, v)]
-    counter = 1
     evals = _EVALS_PER_PANEL
     run_v, run_e, run_floor = v, e, _EPS * abs(v)
     while True:
@@ -210,9 +209,8 @@ def integrate(
             fault = exc
             continue
         evals += 2 * _EVALS_PER_PANEL
-        heapq.heapreplace(heap, (-e1, counter, pa, pm, v1))
-        heapq.heappush(heap, (-e2, counter + 1, pm, pb, v2))
-        counter += 2
+        heapq.heapreplace(heap, (-e1, evals, pa, pm, v1))
+        heapq.heappush(heap, (-e2, evals + 1, pm, pb, v2))
         run_v += v1 + v2 - pv
         run_e += e1 + e2 + neg_e
         run_floor += _EPS * (abs(v1) + abs(v2) - abs(pv))

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .intrinsic import IntrinsicVolumes, oloid_intrinsic_volumes
 from .quadrature import Estimate
-from .support import _mean_se, _philox_shards
+from .support import _montecarlo
 
 __all__ = [
     "ParallelBody",
@@ -208,10 +208,4 @@ def mc_ball_ball_expectations(n: int, seed: int) -> tuple[Estimate, Estimate]:
     the mean-width sampler: they run on up to min(cores, 8) threads, and
     every bit of the result is independent of the thread count.
     """
-    if n < _MIN_SAMPLES:
-        raise ValueError(f"need at least {_MIN_SAMPLES} samples, got {n}")
-    v_sums, v_sq, s_sums, s_sq = _philox_shards(n, seed, _ball_ball_leaf, 1 << 15, 4).T
-    return (
-        Estimate(*_mean_se(n, v_sums, v_sq), n),
-        Estimate(*_mean_se(n, s_sums, s_sq), n),
-    )
+    return tuple(_montecarlo(n, seed, _MIN_SAMPLES, _ball_ball_leaf, 1 << 15, 2))

@@ -145,23 +145,27 @@ def mean_width_direct(tol: float) -> quad.Estimate:
     )
 
 
-def _philox_shards(
-    n: int, seed: int, leaf_kernel: Callable, leaf: int, n_sums: int
-) -> np.ndarray:
-    """The ``n_sums`` sums of every shard of ``n`` samples, shard i's in row
-    i of an (n_shards, n_sums) float64 array.
+def _montecarlo(
+    n: int, seed: int, fewest: int, leaf_kernel: Callable, leaf: int, n_means: int
+) -> list[quad.Estimate]:
+    """``n_means`` Monte Carlo means of ``n`` >= ``fewest`` samples, each an
+    ``Estimate`` of the mean, its standard error and ``n``.
 
-    Shard i covers samples [i * _SHARD, (i + 1) * _SHARD) and draws from a
-    Philox generator keyed by (seed, i), so its result depends on nothing
-    else.  :func:`_pairwise` sums it in leaves of at most ``leaf`` samples,
-    each ``leaf_kernel(rng, count)``, so a thread holds one leaf's arrays at
-    a time.  The shards run on min(cores, shards, _MAX_THREADS) threads,
-    the calling thread being one of them; they overlap where numpy releases
-    the GIL (Philox fills, elementwise arithmetic, reductions).  The first
-    exception raised in any thread, KeyboardInterrupt included, stops every
-    thread at its next shard boundary and is re-raised here once all have
-    ended.
+    ``leaf_kernel(rng, count)`` returns (sum, sum of squares) per mean over
+    ``count`` samples.  Shard i covers samples [i * _SHARD, (i + 1) * _SHARD)
+    and draws from a Philox generator keyed by (seed, i), so its sums depend
+    on nothing else: row i of an (n_shards, 2 n_means) float64 array, whose
+    columns ``math.fsum`` reduces in shard order.  :func:`_pairwise` sums a
+    shard in leaves of at most ``leaf`` samples, so a thread holds one
+    leaf's arrays at a time.  The shards run on min(cores, shards,
+    _MAX_THREADS) threads, the calling thread being one of them; they
+    overlap where numpy releases the GIL (Philox fills, elementwise
+    arithmetic, reductions).  The first exception raised in any thread,
+    KeyboardInterrupt included, stops every thread at its next shard
+    boundary and is re-raised here once all have ended.
     """
+    if n < fewest:
+        raise ValueError(f"need at least {fewest} samples, got {n}")
     try:  # int and numpy integers; not floats, which would be truncated
         word = operator.index(seed)
     except TypeError:
@@ -178,7 +182,7 @@ def _philox_shards(
         cores = len(os.sched_getaffinity(0))
     else:
         cores = os.cpu_count() or 1
-    results = np.empty((n_shards, n_sums))
+    results = np.empty((n_shards, 2 * n_means))
     errors: list[BaseException] = []
     unclaimed = iter(range(n_shards))
     lock = threading.Lock()
@@ -212,14 +216,11 @@ def _philox_shards(
             thread.join()
     if errors:
         raise errors[0]
-    return results
-
-
-def _mean_se(n: int, sums, sqsums) -> tuple[float, float]:
-    """Mean and standard error of n samples from per-shard sums and sums of squares."""
-    total = math.fsum(sums)
-    var = max(math.fsum(sqsums) - total * total / n, 0.0) / (n - 1)
-    return total / n, math.sqrt(var / n)
+    sums = [math.fsum(column) for column in results.T]
+    return [
+        quad.Estimate(s / n, math.sqrt(max(sq - s * s / n, 0.0) / (n - 1) / n), n)
+        for s, sq in zip(sums[::2], sums[1::2])
+    ]
 
 
 def _row_norms(x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
@@ -297,7 +298,4 @@ def mean_width_montecarlo(n: int, seed: int) -> quad.Estimate:
     is independent of the thread count and the scheduling.  Returns the
     mean, its standard error and ``n`` as an ``Estimate``.
     """
-    if n < _MIN_SAMPLES:
-        raise ValueError(f"need at least {_MIN_SAMPLES} samples, got {n}")
-    sums, sqsums = _philox_shards(n, seed, _width_leaf, 1 << 13, 2).T
-    return quad.Estimate(*_mean_se(n, sums, sqsums), n)
+    return _montecarlo(n, seed, _MIN_SAMPLES, _width_leaf, 1 << 13, 1)[0]

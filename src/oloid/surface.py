@@ -393,10 +393,9 @@ def _obj_lines(tag: str, fields: np.ndarray) -> np.ndarray:
     return out[kept]
 
 
-def _write_obj(mesh: TriMesh, fh: IO[bytes]) -> None:
+def _write_vertices(v: np.ndarray, fh: IO[bytes]) -> None:
     import numpy as np
 
-    v, f = mesh.vertices, mesh.triangles
     # per axis, the text of each distinct magnitude and each vertex's row
     rows = np.empty(v.shape, dtype=np.uint32)
     tables = []
@@ -409,7 +408,13 @@ def _write_obj(mesh: TriMesh, fh: IO[bytes]) -> None:
         for k, table in enumerate(tables):
             fields[:, k, 1:] = np.take(table, block_rows[:, k], axis=0)
         fh.write(_obj_lines("v", fields))
-    del rows, tables, mags  # freed before the f table is built
+
+
+def _write_obj(mesh: TriMesh, fh: IO[bytes]) -> None:
+    import numpy as np
+
+    v, f = mesh.vertices, mesh.triangles
+    _write_vertices(v, fh)  # its tables are freed before the f table is built
     table = _text_table(np.arange(1, len(v) + 1), "d", len(str(len(v))))
     for block in _blocks(f, _OBJ_BLOCK_ROWS):
         fh.write(_obj_lines("f", np.take(table, block, axis=0)))

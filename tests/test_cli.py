@@ -324,6 +324,23 @@ def test_mesh_not_closed_writes_no_file(monkeypatch, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("mesh", "--resolution", "2"), ("kinematic", "--pair", "ball-ball", "--mc-samples", "10000")],
+    ids=["mesh", "mc_samples"],
+)
+def test_missing_numpy_is_one_failure_line(monkeypatch, tmp_path, capsys, argv):
+    # the two numpy commands on an interpreter without it: no traceback
+    monkeypatch.setitem(sys.modules, "numpy", None)  # "import numpy" now raises
+    if argv[0] == "mesh":
+        argv += ("--out", str(tmp_path / "x.obj"))
+    assert cli.main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"computational failure: ModuleNotFoundError: .*numpy.*\n", captured.err)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_subcommand_is_usage_error():
     proc = run_cli()
     assert proc.returncode == 64

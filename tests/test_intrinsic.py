@@ -1,7 +1,9 @@
+import json
 import math
 import random
 import re
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -231,3 +233,58 @@ def test_reference_constants_against_mpmath():
             literal = re.search(rf"^{name} = ([0-9.]+)$", source, re.M).group(1)
             decimals = len(literal.split(".")[1])
             assert abs(mp.mpf(literal) - value) <= mp.mpf(10) ** -decimals / 2, name
+
+
+# --- error estimates against the 40-digit references --------------------------
+
+REFERENCES = {
+    name: Fraction(digits)
+    for name, digits in json.loads(
+        (Path(__file__).resolve().parents[1] / "bench" / "references.json").read_text()
+    )["constants"].items()
+}
+# the benchmark's constants ladder (bench/workloads.py CONSTANTS_TOLS), then
+# the coarser targets
+HONEST_TOLS = (
+    1e-9, 5e-10, 2e-10, 1e-10, 5e-11, 2e-11, 1e-11, 5e-12, 2e-12,
+    1e-12, 5e-13, 2e-13, 1e-13, 5e-14, 2e-14, 1e-14, 1.2e-15,
+    1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8,
+)
+HONEST_ROUTES = {
+    "surface": (intrinsic.surface_area_quadrature, 4 * REFERENCES["pi"]),
+    "volume": (intrinsic.volume_quadrature, REFERENCES["V"]),
+    "curvature": (intrinsic.curvature_integral_quadrature, 3 * REFERENCES["K"]),
+    "edge": (intrinsic.edge_integral_direct, REFERENCES["edge"]),
+    "direct": (support.mean_width_direct, REFERENCES["b"]),
+}
+# the tanh-sinh levels that are compared cut their tails at about the same
+# node, so their difference misses the dropped tail: the volume's error
+# exceeds its estimate here, though it still meets tol
+VOLUME_UNDERSTATED = {
+    1e-9: "9.03e-14 against 8.88e-14",
+    5e-10: "1.35e-14 against 1.20e-14",
+    2e-10: "1.35e-14 against 1.20e-14",
+    1e-10: "2.82e-15 against 2.71e-15",
+    5e-11: "2.82e-15 against 2.71e-15",
+}
+
+
+def _honest_cell(route, tol):
+    if route == "volume" and tol in VOLUME_UNDERSTATED:
+        reason = f"volume_quadrature understates its error: {VOLUME_UNDERSTATED[tol]}"
+        return pytest.param(route, tol, marks=pytest.mark.xfail(strict=True, reason=reason))
+    return pytest.param(route, tol)
+
+
+@pytest.mark.parametrize(
+    "route, tol", [_honest_cell(route, tol) for route in HONEST_ROUTES for tol in HONEST_TOLS]
+)
+def test_error_estimate_bounds_the_error(route, tol):
+    quadrature, reference = HONEST_ROUTES[route]
+    est = quadrature(tol)
+    assert abs(Fraction(est.value) - reference) <= Fraction(est.err_est)
+
+
+def test_coxeter_error_estimate_bounds_the_error():
+    est = intrinsic.coxeter_like_result()
+    assert abs(Fraction(est.value) - REFERENCES["I"]) <= Fraction(est.err_est)

@@ -16,12 +16,12 @@ from oloid import cli
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def spawn_script(name, *args):
+def spawn_script(name, *args, python=()):
     env = dict(os.environ)
     src = str(Path(oloid.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, *python, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
         env=env,
@@ -125,3 +125,25 @@ def test_mesh_convergence_refuses_a_power_beyond_the_cli_cap(power):
     assert proc.stdout == ""
     assert proc.stderr.startswith("usage: ")
     assert "Traceback" not in proc.stderr
+
+
+# runs the script as __main__ with "import numpy" failing, as on an
+# interpreter that does not have it
+WITHOUT_NUMPY = (
+    "-c",
+    "import runpy, sys; sys.modules['numpy'] = None; sys.argv = sys.argv[1:]; "
+    "runpy.run_path(sys.argv[0], run_name='__main__')",
+)
+
+
+@pytest.mark.parametrize(
+    "name,args",
+    [("mesh_convergence.py", ("--max-power", "3")),
+     ("reproduce_constants.py", ("--mc-samples", "10000"))],
+)
+def test_script_without_numpy_is_one_failure_line(name, args):
+    proc = spawn_script(name, *args, python=WITHOUT_NUMPY)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("computational failure: ModuleNotFoundError: ")
+    assert proc.stderr.count("\n") == 1

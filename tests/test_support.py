@@ -290,6 +290,21 @@ def test_seed_must_be_an_integer(sampler, n):
     assert repr(sampler(n, np.int64(2**63 - 1))) == repr(sampler(n, 2**63 - 1))
 
 
+@pytest.mark.parametrize(
+    "sampler, fewest",
+    [(sp.mean_width_montecarlo, 1000), (sk.mc_ball_ball_expectations, 10_000)],
+    ids=["mean_width", "ball_ball"],
+)
+def test_sample_floor(sampler, fewest):
+    # the engine refuses below each sampler's floor, before it looks at the seed
+    for seed in (1, -1):
+        with pytest.raises(ValueError, match=f"need at least {fewest} samples, got {fewest - 1}"):
+            sampler(fewest - 1, seed)
+    result = sampler(fewest, 1)
+    for est in (result,) if isinstance(result, quad.Estimate) else result:
+        assert est.evals == fewest and math.isfinite(est.value) and est.err_est > 0.0
+
+
 def test_three_routes_mutually_consistent():
     curvature = intrinsic.mean_width(1.0)
     direct = sp.mean_width_direct(1e-9).value
@@ -486,7 +501,8 @@ def test_montecarlo_thread_count(monkeypatch, cores, threads):
 
 def test_shard_reducer_runs_every_shard_once(monkeypatch):
     # 8 threads, whatever the core count, switching as often as possible: a
-    # shard claimed twice or never shows in the results or in the run log
+    # shard claimed twice or never shows in the run log, and a shard never
+    # run or misplaced in the estimates
     force_cores(monkeypatch, 64)
     lock = threading.Lock()
     ran = []
@@ -495,16 +511,23 @@ def test_shard_reducer_runs_every_shard_once(monkeypatch):
         shard = int(rng.bit_generator.state["state"]["key"][1])
         with lock:
             ran.append(shard)
-        return shard, count
+        return shard, shard * shard, count, count * count
 
+    n = 300 * 2**16 + 5
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results = sp._philox_shards(300 * 2**16 + 5, 9, kernel, 2**16, 2)
+        shards, counts = sp._montecarlo(n, 9, 1000, kernel, 2**16, 2)
     finally:
         sys.setswitchinterval(interval)
-    assert results.tolist() == [[i, 2**16] for i in range(300)] + [[300, 5]]
     assert sorted(ran) == list(range(301))
+    # the exact means of the known per-shard sums, rounded once
+    assert shards.value == sum(range(301)) / n
+    assert counts.value == 1.0
+    sq = sum(i * i for i in range(301))
+    var = Fraction(sq * n - sum(range(301)) ** 2, n * n * (n - 1))
+    assert shards.err_est == pytest.approx(math.sqrt(var), rel=1e-15)
+    assert shards.evals == counts.evals == n
 
 
 def test_shard_sums_are_one_array_row_each(monkeypatch):
@@ -515,5 +538,5 @@ def test_shard_sums_are_one_array_row_each(monkeypatch):
     def kernel(rng, count):
         return float(count), float(count), float(count), float(count)
 
-    peak = oracles.traced_peak(lambda: sp._philox_shards(4000 * 2**16, 3, kernel, 2**16, 4))
+    peak = oracles.traced_peak(lambda: sp._montecarlo(4000 * 2**16, 3, 1000, kernel, 2**16, 2))
     assert peak <= 0.5 * 2**20

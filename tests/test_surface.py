@@ -2,6 +2,7 @@ import errno
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -416,6 +417,28 @@ def test_mesh_stages_peak_at_most_14_mb_at_256(tmp_path):
         lambda: sf.mesh_area(mesh),
     ):
         assert held + oracles.traced_peak(stage) <= limit
+
+
+def test_export_obj_frees_vertex_tables_before_face_table(monkeypatch, tmp_path):
+    # the v stage's text tables and row indices (2.3 MB at n = 256) are gone
+    # when the f-index table is asked for: only its own indices are held.  A
+    # file sink, as a BytesIO would count the bytes written
+    mesh = oracles.cached_mesh(256)
+    text_table = sf._text_table
+    held = []
+
+    def spy(values, spec, width):
+        if spec == "d":
+            held.append(tracemalloc.get_traced_memory()[0] - values.nbytes)
+        return text_table(values, spec, width)
+
+    monkeypatch.setattr(sf, "_text_table", spy)
+    tracemalloc.start()
+    try:
+        sf.export_obj(mesh, str(tmp_path / "mesh.obj"))
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1 and held[0] <= 0.25 * 2**20
 
 
 def _with_triangles(mesh, tris):
