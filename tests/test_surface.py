@@ -394,14 +394,21 @@ def test_mesh_beyond_int32_indices_raises_before_allocating(monkeypatch):
     assert oracles.traced_peak(attempt) < 64 * 1024
 
 
-def test_int64_indices_give_the_same_results(tmp_path):
+# every integer dtype that can index the n = 64 mesh (under 2 * 65^2 vertices)
+INDEX_DTYPES = sorted(
+    {np.dtype(c) for c in np.typecodes["AllInteger"] if np.iinfo(c).max >= 2 * 65**2}, key=str
+)
+
+
+@pytest.mark.parametrize("dtype", INDEX_DTYPES, ids=str)
+def test_int64_indices_give_the_same_results(tmp_path, dtype):
     mesh = oracles.cached_mesh(64)
-    wide = _with_triangles(mesh, mesh.triangles.astype(np.int64))
-    assert sf.mesh_is_closed(wide) and sf.mesh_is_closed(mesh)
-    assert not sf.mesh_is_closed(_flipped(wide))
-    assert sf.mesh_volume(wide) == sf.mesh_volume(mesh)
-    assert sf.mesh_area(wide) == sf.mesh_area(mesh)
-    assert _obj(wide, tmp_path / "wide") == _obj(mesh, tmp_path / "narrow")
+    cast = _with_triangles(mesh, mesh.triangles.astype(dtype))
+    assert sf.mesh_is_closed(cast) and sf.mesh_is_closed(mesh)
+    assert not sf.mesh_is_closed(_flipped(cast))
+    assert sf.mesh_volume(cast) == sf.mesh_volume(mesh)
+    assert sf.mesh_area(cast) == sf.mesh_area(mesh)
+    assert _obj(cast, tmp_path / "cast") == _obj(mesh, tmp_path / "int32")
 
 
 def test_mesh_stages_peak_at_most_14_mb_at_256(tmp_path):
@@ -417,6 +424,9 @@ def test_mesh_stages_peak_at_most_14_mb_at_256(tmp_path):
         lambda: sf.mesh_area(mesh),
     ):
         assert held + oracles.traced_peak(stage) <= limit
+    # the area gathers one block of corners at a time: 0.8 MB, 6.3 MB with
+    # blocks of 32,768 triangles
+    assert oracles.traced_peak(lambda: sf.mesh_area(mesh)) <= 2**20
 
 
 def test_export_obj_frees_vertex_tables_before_face_table(monkeypatch, tmp_path):
@@ -522,7 +532,7 @@ def test_volume_and_area_equal_whole_mesh_fsum(n):
 
 def test_mesh_stages_across_small_blocks(monkeypatch):
     mesh = oracles.cached_mesh(64)
-    monkeypatch.setattr(sf, "_TRIANGLE_BLOCK", 7)
+    monkeypatch.setattr(sf, "_BLOCK", 7)
     assert sf.mesh_volume(mesh) == oracles.fsum_volume(mesh)
     assert sf.mesh_area(mesh) == oracles.fsum_area(mesh)
     assert sf.mesh_is_closed(mesh)
@@ -550,12 +560,12 @@ def test_export_obj_matches_line_oracle(tmp_path):
 
 def test_export_obj_matches_line_oracle_across_blocks(monkeypatch, tmp_path):
     mesh = sf.build_mesh(96)
-    assert len(mesh.vertices) > sf._OBJ_BLOCK_ROWS
-    assert len(mesh.triangles) > 2 * sf._OBJ_BLOCK_ROWS
+    assert len(mesh.vertices) > sf._BLOCK
+    assert len(mesh.triangles) > 2 * sf._BLOCK
     assert _obj(mesh, tmp_path) == oracles.obj_text(mesh)
     # block boundaries that do not divide either row count
     small = sf.build_mesh(5)
-    monkeypatch.setattr(sf, "_OBJ_BLOCK_ROWS", 7)
+    monkeypatch.setattr(sf, "_BLOCK", 7)
     assert _obj(small, tmp_path) == oracles.obj_text(small)
 
 
@@ -571,8 +581,7 @@ def test_blocks_that_divide_the_row_counts(monkeypatch, tmp_path, rows):
     # n = 8: 130 vertices and 256 triangles, so every block is full (2) or
     # the triangles are one block (256)
     mesh = oracles.cached_mesh(8)
-    monkeypatch.setattr(sf, "_TRIANGLE_BLOCK", rows)
-    monkeypatch.setattr(sf, "_OBJ_BLOCK_ROWS", rows)
+    monkeypatch.setattr(sf, "_BLOCK", rows)
     assert len(mesh.triangles) % rows == 0
     np.testing.assert_array_equal(sf.build_mesh(8).triangles, mesh.triangles)
     assert sf.mesh_is_closed(mesh)
@@ -599,7 +608,7 @@ SPECIAL_COORDINATES = [
 
 @pytest.mark.parametrize("block_rows", [8192, 4])
 def test_export_obj_special_coordinates(monkeypatch, tmp_path, block_rows):
-    monkeypatch.setattr(sf, "_OBJ_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(sf, "_BLOCK", block_rows)
     c = np.array(SPECIAL_COORDINATES)
     # every value in every axis, next to different neighbours
     mesh = _vertices_only(np.stack([c, np.roll(c, 5), np.roll(c[::-1], 2)], axis=1))
@@ -615,19 +624,29 @@ def test_export_obj_special_coordinates(monkeypatch, tmp_path, block_rows):
 def test_export_obj_face_index_widths(monkeypatch, tmp_path, nv, block_rows):
     # every index 0..nv-1 in every corner: the printed width steps at 10,
     # 100 and 1000 inside one file
-    monkeypatch.setattr(sf, "_OBJ_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(sf, "_BLOCK", block_rows)
     index = np.arange(nv)
     tris = np.stack([index, np.roll(index, 1), index[::-1]], axis=1)
     mesh = _vertices_only(RNG.standard_normal((nv, 3)), tris)
     assert _obj(mesh, tmp_path) == oracles.obj_text(mesh)
 
 
-def test_export_obj_rejects_negative_index(tmp_path):
-    # and 3 == len(vertices), one past the last vertex
-    for bad in (-1, 3):
-        mesh = _vertices_only(np.zeros((3, 3)), [(0, 1, bad)])
+@pytest.mark.parametrize("name", ["mesh_is_closed", "mesh_volume", "mesh_area", "export_obj"])
+def test_export_obj_rejects_negative_index(tmp_path, name):
+    fn = getattr(sf, name)
+    call = (lambda mesh: fn(mesh, str(tmp_path / "x.obj"))) if name == "export_obj" else fn
+    # and 3 == len(vertices), one past the last vertex; a closed mesh with
+    # every index shifted by -len(vertices) names the same vertices to numpy
+    octahedron = _octahedron()
+    shift = len(octahedron.vertices)
+    for mesh in (
+        _vertices_only(np.zeros((3, 3)), [(0, 1, -1)]),
+        _vertices_only(np.zeros((3, 3)), [(0, 1, 3)]),
+        _with_triangles(octahedron, octahedron.triangles - shift),
+        _with_triangles(octahedron, octahedron.triangles + shift),
+    ):
         with pytest.raises(ValueError):
-            sf.export_obj(mesh, str(tmp_path / "x.obj"))
+            call(mesh)
         assert list(tmp_path.iterdir()) == []
 
 
@@ -696,7 +715,7 @@ def test_export_obj_failed_write_keeps_target(tmp_path, monkeypatch):
         opened.append(_DiskFull(open(*args, **kwargs)))
         return opened[-1]
 
-    monkeypatch.setattr(sf, "_OBJ_BLOCK_ROWS", 8)
+    monkeypatch.setattr(sf, "_BLOCK", 8)
     monkeypatch.setattr(sf, "open", failing_open, raising=False)
     with pytest.raises(OSError):
         sf.export_obj(sf.build_mesh(4), str(out))
