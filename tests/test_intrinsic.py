@@ -257,32 +257,22 @@ HONEST_ROUTES = {
     "edge": (intrinsic.edge_integral_direct, REFERENCES["edge"]),
     "direct": (support.mean_width_direct, REFERENCES["b"]),
 }
-# the tanh-sinh levels that are compared cut their tails at about the same
-# node, so their difference misses the dropped tail: the volume's error
-# exceeds its estimate here, though it still meets tol
-VOLUME_UNDERSTATED = {
-    1e-9: "9.03e-14 against 8.88e-14",
-    5e-10: "1.35e-14 against 1.20e-14",
-    2e-10: "1.35e-14 against 1.20e-14",
-    1e-10: "2.82e-15 against 2.71e-15",
-    5e-11: "2.82e-15 against 2.71e-15",
-}
-
-
-def _honest_cell(route, tol):
-    if route == "volume" and tol in VOLUME_UNDERSTATED:
-        reason = f"volume_quadrature understates its error: {VOLUME_UNDERSTATED[tol]}"
-        return pytest.param(route, tol, marks=pytest.mark.xfail(strict=True, reason=reason))
-    return pytest.param(route, tol)
 
 
 @pytest.mark.parametrize(
-    "route, tol", [_honest_cell(route, tol) for route in HONEST_ROUTES for tol in HONEST_TOLS]
+    "route, tol", [(route, tol) for route in HONEST_ROUTES for tol in HONEST_TOLS]
 )
 def test_error_estimate_bounds_the_error(route, tol):
     quadrature, reference = HONEST_ROUTES[route]
     est = quadrature(tol)
     assert abs(Fraction(est.value) - reference) <= Fraction(est.err_est)
+
+
+@pytest.mark.parametrize("route", ["surface", "volume"])
+def test_a_tanh_sinh_level_does_not_depend_on_tol(route):
+    # each level sums every node, so tolerances that stop at one level give one Estimate
+    quadrature = HONEST_ROUTES[route][0]
+    assert quadrature(1e-12) == quadrature(1e-13) == quadrature(1e-14)
 
 
 def test_coxeter_error_estimate_bounds_the_error():
