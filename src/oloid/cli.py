@@ -68,9 +68,10 @@ def _integer(flag: str, lo: int, hi: int, why: str = "", span: str = ""):
 
 
 # Mesh memory grows as n^2: at n = 1024 the mesh holds 96 MB and the command
-# peaks at about 250 MB and takes about 5.5 s on a 2-core VM.  Every stage
-# after the build works on fixed-size blocks of the mesh; the closure check's
-# sorted edge keys (100 MB) are the largest temporary.
+# peaks at about 202 MB (41 MB at n = 256) and takes about 5 s on a 2-core VM.
+# Every stage after the build works on fixed-size blocks of the mesh; the
+# closure check's sorted edge keys of one of its two ranges (50 MB) are the
+# largest temporary.
 MAX_RESOLUTION = 1024
 # Monte Carlo memory is bounded by the leaf size times the sampler threads (at
 # most 8, each holding one leaf of its 2^16-sample shard at a time, 512 KB at
@@ -276,7 +277,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_kinematic)
 
     p = sub.add_parser("mesh", help="export a watertight OBJ mesh")
-    memory = "memory grows as n^2, about 250 MB at the cap"
+    memory = "memory grows as n^2, about 202 MB at the cap"
     resolution = _integer("--resolution", 2, MAX_RESOLUTION, f" (mesh {memory})")
     p.add_argument("--resolution", type=resolution, required=True,
                    help=f"grid intervals per sheet, 2..{MAX_RESOLUTION} ({memory})")

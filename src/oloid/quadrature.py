@@ -119,12 +119,13 @@ def _check_args(a: float, b: float, tol: float) -> None:
 
 
 def _settle(best: Estimate, target: float, floor: float, spent: bool, a: float, b: float,
-            fault: ArithmeticError | None = None) -> bool:
+            fault: Exception | None = None) -> bool:
     """Whether ``best`` meets ``target``; False asks the rule to refine further.
 
     Both rules fail only here: a :class:`QuadratureError` carrying ``best`` is
-    raised for a non-finite value, a NaN error or the integrand's own ``fault``,
-    a rounding ``floor`` above the target, or a ``spent`` budget.
+    raised for a non-finite value, a NaN error, a ``fault`` of the integrand
+    or of a level's sum, a rounding ``floor`` above the target, or a
+    ``spent`` budget.
     """
     if fault is not None or not math.isfinite(best.value) or math.isnan(best.err_est):
         reason = "non-finite estimate"
@@ -260,9 +261,12 @@ def integrate_singular(
                     evals += 1
                     terms.append(term)
             k += 1
-        s = h * math.fsum(terms)
+        try:
+            s = h * math.fsum(terms)
+            rounding = _TS_ROUNDING_ULPS * _EPS * h * math.fsum(map(abs, terms))
+        except (ValueError, OverflowError) as exc:  # inf - inf, or a sum beyond the doubles
+            _settle(best, tol, 0.0, False, a, b, exc)
         diff = abs(s - prev)
-        rounding = _TS_ROUNDING_ULPS * _EPS * h * math.fsum(map(abs, terms))
         best = Estimate(s, max(diff, rounding), evals)
         floor = rounding if diff <= rounding else 0.0  # binds once the levels agree
         if _settle(best, max(tol, tol * abs(s)), floor, level == _TS_MAX_LEVELS, a, b):

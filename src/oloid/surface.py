@@ -235,29 +235,45 @@ def _check_indices(mesh: TriMesh) -> None:
         raise ValueError("triangle indices must lie in 0..len(vertices) - 1")
 
 
-def _edge_keys(mesh: TriMesh) -> np.ndarray:
-    """Sorted keys 2*(min(a, b)*nv + max(a, b)) + (a > b), one per directed
-    edge a -> b of each non-degenerate triangle: ``key >> 1`` is the
-    undirected edge, the low bit its direction."""
+def _edge_keys(triangles: np.ndarray, nv: int):
+    """Per block of ``triangles``, the int64 keys 2*(min(a, b)*nv + max(a, b))
+    + (a > b), one per directed edge a -> b of each non-degenerate triangle,
+    in a 1-D array of the block's own: ``key >> 1`` is the undirected edge,
+    the low bit its direction."""
     import numpy as np
 
-    nv = len(mesh.vertices)
-    keys = np.empty(3 * len(mesh.triangles), dtype=np.int64)
-    count = 0
-    for a in _blocks(mesh.triangles):
-        b = np.roll(a, -1, axis=1)  # edges (a0, a1), (a1, a2), (a2, a0)
-        real = (a != b).all(axis=1)  # a degenerate triangle has a zero-length edge
-        a, b = a[real], b[real]
-        k = keys[count : count + a.size].reshape(a.shape)
-        np.minimum(a, b, out=k)
-        k *= nv
-        k += np.maximum(a, b, dtype=np.int64)  # uint64 with int64 would give float64
-        k *= 2
-        k += a > b
-        count += a.size
-    keys = keys[:count]
-    keys.sort()
-    return keys
+    for block in _blocks(triangles):
+        a = block.T.astype(np.int64, order="C")  # (3, rows): every pass on contiguous rows
+        b = a[[1, 2, 0]]  # edges (a0, a1), (a1, a2), (a2, a0)
+        distinct = a != b
+        if not distinct.all():  # a degenerate triangle has a zero-length edge
+            real = distinct.all(axis=0)
+            a, b = a[:, real], b[:, real]
+        keys = np.minimum(a, b)
+        keys *= nv
+        keys += np.maximum(a, b)
+        keys *= 2
+        keys += a > b
+        yield keys.ravel()
+
+
+def _key_ranges(triangles: np.ndarray, nv: int) -> list[tuple[int, int, int]]:
+    """The closure check's two ranges [lo, hi) of :func:`_edge_keys`, split
+    at an even key, each with the number of keys in it.  One counting scan
+    over at most 1024 bins puts the split at the first bin boundary with
+    half of the keys or more below it."""
+    import numpy as np
+
+    end = 2 * nv * nv  # above every key
+    shift = max(end.bit_length() - 10, 1)  # each bin an even number of keys wide
+    counts = np.zeros((end >> shift) + 1, dtype=np.int64)
+    for keys in _edge_keys(triangles, nv):
+        keys >>= shift
+        counts += np.bincount(keys, minlength=len(counts))
+    below = np.cumsum(counts)
+    last = int(np.searchsorted(below, below[-1] // 2))  # bins 0..last hold at least half
+    cut, first = (last + 1) << shift, int(below[last])
+    return [(0, cut, first), (cut, end, int(below[-1]) - first)]
 
 
 def mesh_is_closed(mesh: TriMesh) -> bool:
@@ -270,16 +286,33 @@ def mesh_is_closed(mesh: TriMesh) -> bool:
     their reverses, adding k > 0 to the sum of head - tail over all such
     edges; but those edges form closed cycles, since each triangle enters
     and leaves each of its vertices once, so that sum is 0.
+
+    The keys are sorted and paired in two ranges, below and from an even
+    key near their median, which one counting scan finds: at most about
+    half of them are held at once.  No pair (2e, 2e + 1) straddles an even
+    key, and two ranges that each pair up with differences of one are, in
+    order, the whole sorted array doing so: the answer is that of one sort.
     """
     import numpy as np
 
     _check_indices(mesh)
-    keys = _edge_keys(mesh)
-    if len(keys) % 2:
-        return False
-    pairs = keys.reshape(-1, 2)
-    pairs[:, 1] -= pairs[:, 0]  # in place: the keys are this call's own
-    return bool(np.all(pairs[:, 1] == 1))
+    nv = len(mesh.vertices)
+    for lo, hi, size in _key_ranges(mesh.triangles, nv):
+        if size % 2:
+            return False
+        keys = np.empty(size, dtype=np.int64)
+        count = 0
+        for block in _edge_keys(mesh.triangles, nv):
+            block = block[(lo <= block) & (block < hi)]
+            keys[count : count + len(block)] = block
+            count += len(block)
+        keys.sort()
+        pairs = keys.reshape(-1, 2)
+        pairs[:, 1] -= pairs[:, 0]  # in place: the keys are this call's own
+        if not np.all(pairs[:, 1] == 1):
+            return False
+        del keys, pairs  # freed before the next range is built
+    return True
 
 
 def _block_fsum(mesh: TriMesh, term) -> float:
@@ -364,50 +397,66 @@ def export_obj(mesh: TriMesh, path: str) -> None:
         raise
 
 
-def _text_table(values: np.ndarray, spec: str, width: int) -> np.ndarray:
-    """The ``%{spec}`` bytes of each of ``values``, left-aligned in ``width``
-    columns padded by spaces: a (len(values), width) uint8 array."""
+def _text_table(values, spec: str, width: int) -> np.ndarray:
+    """The ``%{spec}`` bytes of each of ``values``, a float64 array or a
+    range, left-aligned in ``width`` columns padded by spaces: a
+    (len(values), width) uint8 array."""
     import numpy as np
 
     table = np.empty((len(values), width), dtype=np.uint8)
     for chunk, out in zip(_blocks(values), _blocks(table)):
-        text = f"%-{width}{spec}" * len(chunk) % tuple(chunk.tolist())
+        items = chunk if isinstance(chunk, range) else chunk.tolist()
+        text = f"%-{width}{spec}" * len(chunk) % tuple(items)
         out[...] = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, width)
     return table
 
 
-def _obj_lines(tag: str, fields: np.ndarray) -> np.ndarray:
+def _obj_lines(tag: str, block: np.ndarray, width: int, fill) -> np.ndarray:
     """The ASCII bytes, as a flat uint8 array, of one newline-terminated line
-    ``tag f0 f1 f2`` per row of the (rows, 3, width) uint8 ``fields``, every
-    space inside a field dropped."""
+    ``tag f0 f1 f2`` per row of ``block``, every space inside a field
+    dropped.  ``fill(fields, block)`` writes the fields into the (rows, 3,
+    width) uint8 view of the lines it is given, so they are held once."""
     import numpy as np
 
-    n, k, w = fields.shape
-    out = np.empty((n, k * (w + 1) + 2), dtype=np.uint8)
+    out = np.empty((len(block), 3 * (width + 1) + 2), dtype=np.uint8)
     out[:, 0], out[:, -1] = ord(tag), ord("\n")
-    body = out[:, 1:-1].reshape(n, k, w + 1)
+    body = out[:, 1:-1].reshape(len(block), 3, width + 1)
     body[..., 0] = ord(" ")
-    body[..., 1:] = fields
+    fill(body[..., 1:], block)
     kept = out != ord(" ")
-    kept[:, 1 : -1 : w + 1] = True  # the separators
+    kept[:, 1 : -1 : width + 1] = True  # the separators
     return out[kept]
 
 
 def _write_vertices(v: np.ndarray, fh: IO[bytes]) -> None:
     import numpy as np
 
-    # per axis, the text of each distinct magnitude and each vertex's row
-    rows = np.empty(v.shape, dtype=np.uint32)
-    tables = []
+    # per axis, the distinct magnitudes as int64 bit patterns, ascending as
+    # the magnitudes are with every NaN last, and the text of each; a vertex
+    # finds its row by binary search, a block's queries taken in ascending
+    # order (0.53 s against 0.83 s in vertex order at n = 1024)
+    mags, tables = [], []
     for k in range(3):
-        mags = _distinct_rows((np.abs(v[:, k]),), rows[:, k])
-        tables.append(_text_table(mags[:, 0], ".16e", _OBJ_FIELD))
-    for block, block_rows in zip(_blocks(v), _blocks(rows)):
-        fields = np.empty(block.shape + (1 + _OBJ_FIELD,), dtype=np.uint8)
+        column = np.abs(v[:, k]).view(np.int64)
+        column.sort()
+        new = np.empty(len(column), dtype=bool)
+        new[:1] = True
+        np.not_equal(column[1:], column[:-1], out=new[1:])
+        mags.append(column[new])
+        del column, new  # freed before the text is formatted
+        tables.append(_text_table(mags[k].view(np.float64), ".16e", _OBJ_FIELD))
+
+    def fill(fields, block):
         fields[..., 0] = np.where(np.signbit(block) & ~np.isnan(block), ord("-"), ord(" "))
-        for k, table in enumerate(tables):
-            fields[:, k, 1:] = np.take(table, block_rows[:, k], axis=0)
-        fh.write(_obj_lines("v", fields))
+        for k, (distinct, table) in enumerate(zip(mags, tables)):
+            bits = np.abs(block[:, k]).view(np.int64)
+            order = np.argsort(bits)
+            rows = np.empty_like(order)
+            rows[order] = np.searchsorted(distinct, bits[order])
+            fields[:, k, 1:] = np.take(table, rows, axis=0)
+
+    for block in _blocks(v):
+        fh.write(_obj_lines("v", block, 1 + _OBJ_FIELD, fill))
 
 
 def _write_obj(mesh: TriMesh, fh: IO[bytes]) -> None:
@@ -415,6 +464,11 @@ def _write_obj(mesh: TriMesh, fh: IO[bytes]) -> None:
 
     v, f = mesh.vertices, mesh.triangles
     _write_vertices(v, fh)  # its tables are freed before the f table is built
-    table = _text_table(np.arange(1, len(v) + 1), "d", len(str(len(v))))
+    width = len(str(len(v)))
+    table = _text_table(range(1, len(v) + 1), "d", width)
+
+    def fill(fields, block):
+        fields[...] = np.take(table, block, axis=0)
+
     for block in _blocks(f):
-        fh.write(_obj_lines("f", np.take(table, block, axis=0)))
+        fh.write(_obj_lines("f", block, width, fill))

@@ -1,9 +1,10 @@
 """Shared independent oracles: brute-force quadrature, finite differences,
 the differential geometry of the boundary sheets and the support function
 in closed form, cached meshes, the straightforward mesh weld, closure
-check, Euler characteristic, whole-mesh volume/area terms and OBJ writer,
-and the plain Monte Carlo width shard and whole-shard ball-ball kernel,
-which the library's vectorized, blockwise and in-place versions must
+checks (by distinct edges, and by all edge keys in one sort), Euler
+characteristic, whole-mesh volume/area terms and OBJ writer, and the plain
+Monte Carlo width shard and whole-shard ball-ball kernel, which the
+library's vectorized, blockwise, split and in-place versions must
 reproduce exactly.
 These deliberately avoid the library's own integration code paths."""
 
@@ -232,6 +233,21 @@ def closed_by_unique(mesh):
         return False
     rev = edges[:, 1] * nv + edges[:, 0]
     return bool(np.array_equal(np.sort(keys), np.sort(rev)))
+
+
+def sorted_edge_keys(mesh):
+    """All keys 2*(min(a, b)*nv + max(a, b)) + (a > b) of the directed edges
+    a -> b of the non-degenerate triangles, sorted in one array."""
+    tris = real_triangles(mesh.triangles).astype(np.int64)
+    a, b = tris.ravel(), tris[:, [1, 2, 0]].ravel()
+    nv = len(mesh.vertices)
+    return np.sort(2 * (np.minimum(a, b) * nv + np.maximum(a, b)) + (a > b))
+
+
+def closed_by_one_sort(mesh):
+    """Closure check on every edge key in one sorted array, paired (2e, 2e + 1)."""
+    keys = sorted_edge_keys(mesh)
+    return len(keys) % 2 == 0 and bool(np.all(keys[1::2] - keys[::2] == 1))
 
 
 def euler_by_unique(mesh):

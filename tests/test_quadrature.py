@@ -226,6 +226,36 @@ def test_an_integrands_arithmetic_error_ends_either_rule_in_settle(rule, calls, 
     assert math.isnan(best.value) if calls == 0 else abs(best.value - 2.0 / 3.0) < 1e-3
 
 
+def _after(calls, g):
+    """sqrt for the first ``calls`` evaluations, then ``g``."""
+    count = iter(range(calls))
+    return lambda x: math.sqrt(x) if next(count, None) is not None else g(x)
+
+
+# a level whose terms are infinite with both signs (inf - inf in fsum), or
+# finite but summing beyond the doubles (an overflow in fsum), is refused as
+# non-finite with the last complete level: none when inf - inf comes at
+# level 0; level 0 (10 nodes inside (0, 1), value 1e308) when 1e308 is summed
+# at step 1/2; level 1 of sqrt (29 evaluations) when either starts at level 2
+_INF_MINUS_INF = (lambda x: math.inf if x < 0.5 else -math.inf, ValueError)
+_OVERFLOW = (lambda x: 1e308, OverflowError)
+
+
+@pytest.mark.parametrize("g,fault,calls,evals", [
+    (*_INF_MINUS_INF, 0, 0), (*_INF_MINUS_INF, 29, 29), (*_OVERFLOW, 0, 10), (*_OVERFLOW, 29, 29),
+], ids=["inf-inf-level-0", "inf-inf-level-2", "overflow-level-1", "overflow-level-2"])
+def test_integrate_singular_refuses_a_level_sum_fsum_cannot_form(g, fault, calls, evals):
+    with pytest.raises(QuadratureError, match="^non-finite estimate") as exc:
+        integrate_singular(_after(calls, g), 0.0, 1.0, 1e-9)
+    best = exc.value.best
+    assert isinstance(exc.value.__cause__, fault)
+    assert best.evals == evals
+    if calls:
+        assert abs(best.value - 2.0 / 3.0) < 1e-3
+    else:
+        assert math.isnan(best.value) if evals == 0 else math.isfinite(best.value)
+
+
 def test_infinite_tolerance_is_refused_by_both_rules():
     # any estimate would meet an infinite target
     for call in (

@@ -411,10 +411,12 @@ def test_int64_indices_give_the_same_results(tmp_path, dtype):
     assert _obj(cast, tmp_path / "cast") == _obj(mesh, tmp_path / "int32")
 
 
-def test_mesh_stages_peak_at_most_14_mb_at_256(tmp_path):
+def test_mesh_stages_peak_at_most_11_mb_at_256(tmp_path):
     # tracemalloc peaks, the mesh itself (6 MB) included: each stage's
-    # temporaries stay near the mesh's size
-    limit = 14 * 2**20
+    # temporaries stay below the mesh's size.  The build peaks at 8.5 MB; the
+    # closure check adds half of the edge keys (9.5 MB, 12.4 MB in one sort),
+    # the export its sorted magnitudes, text tables and one block (9.8 MB)
+    limit = 11 * 2**20
     mesh = oracles.cached_mesh(256)
     assert oracles.traced_peak(lambda: sf.build_mesh(256)) <= limit
     held = mesh.vertices.nbytes + mesh.triangles.nbytes
@@ -430,16 +432,18 @@ def test_mesh_stages_peak_at_most_14_mb_at_256(tmp_path):
 
 
 def test_export_obj_frees_vertex_tables_before_face_table(monkeypatch, tmp_path):
-    # the v stage's text tables and row indices (2.3 MB at n = 256) are gone
-    # when the f-index table is asked for: only its own indices are held.  A
-    # file sink, as a BytesIO would count the bytes written
+    # the v stage's text tables and sorted magnitudes (3.0 MB at n = 256) are
+    # gone when the f-index table is asked for, and its indices are a range,
+    # which holds no buffer.  A file sink, as a BytesIO would count the bytes
+    # written
     mesh = oracles.cached_mesh(256)
     text_table = sf._text_table
     held = []
 
     def spy(values, spec, width):
         if spec == "d":
-            held.append(tracemalloc.get_traced_memory()[0] - values.nbytes)
+            assert values == range(1, len(mesh.vertices) + 1)
+            held.append(tracemalloc.get_traced_memory()[0])
         return text_table(values, spec, width)
 
     monkeypatch.setattr(sf, "_text_table", spy)
@@ -516,6 +520,109 @@ def test_mesh_is_closed_agrees_with_oracle(grid):
     for variant in (mesh, _flipped(mesh), _dropped(mesh), _doubled(mesh)):
         assert sf.mesh_is_closed(variant) == oracles.closed_by_unique(variant)
     assert sf.mesh_is_closed(mesh)
+
+
+# --- the closure check in two key ranges against one sort of every key ------
+
+
+def _closure_agrees(mesh):
+    got = sf.mesh_is_closed(mesh)
+    assert got == oracles.closed_by_one_sort(mesh) == oracles.closed_by_unique(mesh)
+    return got
+
+
+def _range_sizes(mesh):
+    return [size for _, _, size in sf._key_ranges(mesh.triangles, len(mesh.vertices))]
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_split_closure_check_agrees_on_built_meshes(n):
+    mesh = sf.build_mesh(n)
+    assert _closure_agrees(mesh)
+    for broken in (_flipped, _dropped, _doubled):
+        assert not _closure_agrees(broken(mesh))
+
+
+def test_key_ranges_split_the_built_mesh_near_half():
+    mesh = oracles.cached_mesh(64)
+    (lo, cut, first), (start, end, second) = sf._key_ranges(mesh.triangles, len(mesh.vertices))
+    assert (lo, start, end) == (0, cut, 2 * len(mesh.vertices) ** 2) and cut % 2 == 0
+    keys = oracles.sorted_edge_keys(mesh)
+    assert (first, second) == (np.sum(keys < cut), np.sum(keys >= cut))
+    assert first + second == len(keys) and len(keys) / 2 <= first <= 0.51 * len(keys)
+
+
+def test_split_closure_check_with_two_odd_ranges():
+    # two triangles dropped from a closed mesh leave an even number of keys;
+    # when one takes an odd number from each range, a pair would straddle the
+    # cut in one sort, and both checks refuse the mesh
+    mesh = sf.build_mesh(8)
+    for k in range(1, len(mesh.triangles)):
+        odd = _with_triangles(mesh, np.delete(mesh.triangles, [0, k], axis=0))
+        if _range_sizes(odd)[0] % 2:
+            break
+    else:
+        pytest.fail("no two triangles leave two odd ranges")
+    assert all(size % 2 for size in _range_sizes(odd))
+    assert not _closure_agrees(odd)
+    assert not _closure_agrees(_dropped(mesh))  # 3 keys fewer: one range odd
+
+
+@pytest.mark.parametrize("first", [0, 20000], ids=["bottom", "top"])
+def test_split_closure_check_with_every_key_in_one_range(first):
+    # 6 of 20,006 vertices used: all 24 keys fall in one bin of the counting
+    # scan, so the first range holds them all and the second none; the other
+    # vertices are unreferenced
+    octahedron = _octahedron()
+    vertices = np.zeros((20006, 3))
+    vertices[first : first + 6] = octahedron.vertices
+    mesh = sf.TriMesh(vertices=vertices, triangles=octahedron.triangles + first)
+    assert _range_sizes(mesh) == [24, 0]
+    assert _closure_agrees(mesh)
+    for broken in (_flipped, _dropped, _doubled):
+        assert not _closure_agrees(broken(mesh))
+
+
+def test_split_closure_check_with_unreferenced_vertices():
+    mesh = oracles.cached_mesh(8)
+    padded = sf.TriMesh(
+        vertices=np.concatenate([np.zeros((1000, 3)), mesh.vertices]),
+        triangles=mesh.triangles + 1000,
+    )
+    assert _closure_agrees(padded)
+    assert not _closure_agrees(_flipped(padded))
+
+
+@pytest.mark.parametrize("block_rows", [4096, 3])
+def test_split_closure_check_skips_degenerate_triangles(monkeypatch, block_rows):
+    # a zero-length edge makes a triangle degenerate: it adds no key, also in
+    # a block whose other triangles are not degenerate
+    monkeypatch.setattr(sf, "_BLOCK", block_rows)
+    octahedron = _octahedron()
+    degenerate = np.array([[0, 0, 2], [3, 3, 3], [4, 1, 4]])
+    for tris, closed in (
+        (np.concatenate([degenerate, octahedron.triangles]), True),
+        (np.concatenate([octahedron.triangles[:4], degenerate, octahedron.triangles[4:]]), True),
+        (degenerate, True),
+        (np.concatenate([octahedron.triangles[1:], degenerate]), False),
+    ):
+        assert _closure_agrees(_with_triangles(octahedron, tris)) is closed
+
+
+@pytest.mark.parametrize("nv", [0, 5])
+def test_split_closure_check_on_empty_meshes(nv):
+    mesh = sf.TriMesh(vertices=np.zeros((nv, 3)), triangles=np.empty((0, 3), dtype=np.int32))
+    assert _range_sizes(mesh) == [0, 0]
+    assert _closure_agrees(mesh)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64], ids=str)
+@pytest.mark.parametrize("n", [2, 13, 64])
+def test_split_closure_check_on_wide_indices(dtype, n):
+    mesh = oracles.cached_mesh(n)
+    for variant in (mesh, _flipped(mesh), _dropped(mesh), _doubled(mesh)):
+        wide = _with_triangles(variant, variant.triangles.astype(dtype))
+        assert _closure_agrees(wide) == sf.mesh_is_closed(variant) == (variant is mesh)
 
 
 # --- blockwise volume and area against one fsum over the whole mesh ----------
