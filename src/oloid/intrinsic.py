@@ -6,8 +6,8 @@ modulus sqrt(3)/2 and the constant
     I = integral_0^{pi/2} arccos(cos t / (1 + cos t)) dt,
 
 plus a direct quadrature of the corresponding surface/edge integral.  The
-two routes share no code path (AGM vs adaptive/tanh-sinh quadrature), so
-their agreement is a genuine cross-check.  Each route is its own function:
+two routes share no code path (AGM vs adaptive Gauss-Legendre quadrature),
+so their agreement is a genuine cross-check.  Each route is its own function:
 ``surface_area``, ``volume``, ``curvature_integral`` and ``edge_integral``
 return the closed (or reduced) form, and ``surface_area_quadrature``,
 ``volume_quadrature``, ``curvature_integral_quadrature`` and
@@ -107,6 +107,11 @@ def _curvature_integrand(u: float) -> float:
     return 1.0 / math.sqrt(_singular_factor(u))
 
 
+def _edge_integrand(u: float) -> float:
+    # smooth, with a sqrt-type derivative blow-up at u = 0 (t = 2*pi/3)
+    return edge_angle(T_MAX - u)
+
+
 def _coxeter_integrand(t: float) -> float:
     c = math.cos(t)
     return math.acos(c / (1.0 + c))
@@ -115,7 +120,7 @@ def _coxeter_integrand(t: float) -> float:
 def _singular_route(
     f: Callable[[float], float], scale: float, tol: float
 ) -> quad.Estimate:
-    """``scale`` times the tanh-sinh integral of ``f`` over [0, 2*pi/3]."""
+    """``scale`` times the integral of ``f`` over [0, 2*pi/3], square-root end at 0."""
     r = quad.integrate_singular(f, 0.0, T_MAX, tol)
     return quad.Estimate(scale * r.value, scale * r.err_est, r.evals)
 
@@ -133,9 +138,7 @@ def curvature_integral_quadrature(tol: float) -> quad.Estimate:
 
 
 def edge_integral_direct(tol: float) -> quad.Estimate:
-    # smooth value but sqrt-type derivative blow-up at t = 2*pi/3, which the
-    # double-exponential rule absorbs
-    return _singular_route(edge_angle, 2.0, tol)
+    return _singular_route(_edge_integrand, 2.0, tol)
 
 
 @lru_cache(maxsize=1)

@@ -5,12 +5,10 @@ Three entry points:
 * :func:`integrate` -- adaptive bisection driven by a nested pair of
   Gauss-Legendre rules (10 and 21 points); the per-panel error estimate is
   the difference between the two rules, floored at the rounding error of
-  the panel sums, ``eps * sum |panel values|``.
-* :func:`integrate_singular` -- tanh-sinh (double exponential) rule for
-  integrands with integrable power-type singularities at the endpoints.
-  A level sums every node strictly inside (a, b), so its sum and evals do
-  not depend on tol; abscissas near an endpoint are formed from their exact
-  distance to it, so ``(b - x)**(-1/2)`` style integrands keep full accuracy.
+  the panel sums, 1.5 ulps per unit of ``sum |panel values|``.
+* :func:`integrate_singular` -- the same rule after x = a + v^2, which makes
+  square-root-type behaviour at ``a``, such as ``(x - a)**(-1/2)``, smooth in
+  v (Davis & Rabinowitz, *Methods of Numerical Integration*, 2nd ed. 1984).
 * :func:`integrate2d` -- iterated integration (inner theta, outer phi) over
   a phi-dependent theta range, with the tolerance split between the levels.
   Nothing in the package calls it: the direct mean width does its inner
@@ -19,13 +17,12 @@ Three entry points:
 All routines target the mixed tolerance ``max(tol, tol * |I|)``: the
 constants computed in this project span two orders of magnitude, so a purely
 absolute or purely relative target would be wrong at one end.  No inaccurate
-result is returned: either rule raises :class:`QuadratureError`, carrying its
-best estimate (:func:`integrate`'s last finite one, if any), at once for a
+result is returned: :func:`integrate`, which the other two call, raises
+:class:`QuadratureError`, carrying its last finite estimate, if any, at once for a
 non-finite value (an integrand's own ``ArithmeticError`` counts as one) or a
-target below the rounding floor of its sums, and otherwise at its cap:
-``MAX_PANELS`` = 2^15 panels for :func:`integrate` (2,031,585 evaluations) or
-12 step halvings for :func:`integrate_singular` (at most 99,921 evaluations);
-the order of evaluation and summation is fixed, so results are deterministic.
+target below the rounding floor of its sums, and otherwise at its cap of
+``MAX_PANELS`` = 2^15 panels (2,031,585 evaluations); the order of evaluation
+and summation is fixed, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -44,14 +41,9 @@ __all__ = [
 
 MAX_PANELS = 1 << 15
 
-_TS_MAX_LEVELS = 12
-_HALF_PI = 0.5 * math.pi
-# Floor of the tanh-sinh error estimate, in units of eps * h * sum|terms|.
-# Each term carries a few roundings of its own (weight, abscissa, integrand)
-# and fsum adds no more, so two levels that agree bit for bit still leave
-# that much uncertainty; the oloid integrands reach about 2 of these units.
-_TS_ROUNDING_ULPS = 4.0
-_EPS = math.ulp(1.0)
+# err_est floor per unit of sum|panel values|: at 1.25 ulps the volume's fell
+# below its true error at tol 3e-16; at 2 the direct mean width refuses 1e-15.
+_ROUNDING = 1.5 * math.ulp(1.0)
 
 
 def _mirror(half: tuple) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -119,13 +111,12 @@ def _check_args(a: float, b: float, tol: float) -> None:
 
 
 def _settle(best: Estimate, target: float, floor: float, spent: bool, a: float, b: float,
-            fault: Exception | None = None) -> bool:
+            fault: ArithmeticError | None = None) -> bool:
     """Whether ``best`` meets ``target``; False asks the rule to refine further.
 
-    Both rules fail only here: a :class:`QuadratureError` carrying ``best`` is
-    raised for a non-finite value, a NaN error, a ``fault`` of the integrand
-    or of a level's sum, a rounding ``floor`` above the target, or a
-    ``spent`` budget.
+    Quadrature fails only here: a :class:`QuadratureError` carrying ``best``
+    is raised for a non-finite value, a NaN error, a ``fault`` of the
+    integrand, a rounding ``floor`` above the target, or a ``spent`` budget.
     """
     if fault is not None or not math.isfinite(best.value) or math.isnan(best.err_est):
         reason = "non-finite estimate"
@@ -156,14 +147,14 @@ def _gk_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, f
 
 
 def _sums(panels: list) -> tuple[float, float, float]:
-    """Value, error estimate and rounding floor ``eps * sum |value|`` of the panels.
+    """Value, error estimate and rounding floor ``_ROUNDING * sum |value|`` of the panels.
 
     fsum is correctly rounded, so the sums do not depend on the panels' order.
     """
     return (
         math.fsum(p[4] for p in panels),
         math.fsum(-p[0] for p in panels),
-        _EPS * math.fsum(abs(p[4]) for p in panels),
+        _ROUNDING * math.fsum(abs(p[4]) for p in panels),
     )
 
 
@@ -175,7 +166,7 @@ def integrate(
     Adaptive bisection: the panel with the largest error estimate (ties
     broken by creation order, so results are deterministic) is split until
     the summed estimates meet the target.  ``err_est`` is never below the
-    rounding floor ``eps * sum |panel values|``.  Raises
+    rounding floor, 1.5 ulps per unit of ``sum |panel values|``.  Raises
     :class:`QuadratureError`, with the last finite estimate if there is one,
     as soon as a panel is not finite or the floor alone exceeds the target,
     or after ``MAX_PANELS`` = 2^15 panels.
@@ -188,7 +179,7 @@ def integrate(
     # heap entries: (-err, tie-breaker rising with insertion, left, right, value)
     heap = [(-e, 0, a, b, v)]
     evals = _EVALS_PER_PANEL
-    run_v, run_e, run_floor = v, e, _EPS * abs(v)
+    run_v, run_e, run_floor = v, e, _ROUNDING * abs(v)
     while True:
         target = max(tol, tol * abs(run_v))
         exhausted = len(heap) >= MAX_PANELS
@@ -214,64 +205,21 @@ def integrate(
         heapq.heappush(heap, (-e2, evals + 1, pm, pb, v2))
         run_v += v1 + v2 - pv
         run_e += e1 + e2 + neg_e
-        run_floor += _EPS * (abs(v1) + abs(v2) - abs(pv))
+        run_floor += _ROUNDING * (abs(v1) + abs(v2) - abs(pv))
 
 
 def integrate_singular(
     f: Callable[[float], float], a: float, b: float, tol: float
 ) -> Estimate:
-    """Integrate ``f`` over (a, b) allowing integrable endpoint singularities.
+    """Integrate ``f`` over (a, b) with square-root-type behaviour at ``a``.
 
-    tanh-sinh substitution x = mid + half*tanh(pi/2 * sinh u): the
-    transformed integrand decays doubly exponentially toward the endpoints,
-    so the trapezoid sum converges even for ``(x - a)**(-1/2)`` behaviour.
-    Level L sums every node u = k/2^L with pi/2 * sinh u <= 350 and x inside
-    (a, b), so its sum and evals do not depend on ``tol``; the step is
-    halved until two consecutive levels agree to the target.  The error
-    estimate is never below the rounding error of the level sum.  Raises
-    :class:`QuadratureError` as soon as a level sum is not finite or two
-    levels agree within a floor above the target, or after 12 halvings.
+    :func:`integrate` of ``2 v f(a + v^2)`` over [0, sqrt(b - a)]: the
+    substitution x = a + v^2 makes ``(x - a)**(-1/2)`` and ``sqrt(x - a)``
+    terms smooth in v.  Target, refusals, ``best`` and ``evals`` are those
+    of :func:`integrate` on the substituted integrand.
     """
     _check_args(a, b, tol)
-    half = 0.5 * (b - a)
-    evals = 0
-    prev = math.inf  # levels 0 and 1 are not compared: a coarse match may be chance
-    best = Estimate(math.nan, math.nan, 0)  # the last complete level
-    for level in range(_TS_MAX_LEVELS + 1):
-        h = 0.5**level
-        terms: list[float] = []
-        k = 0
-        while True:
-            u = k * h
-            w = _HALF_PI * math.sinh(u)
-            if w > 350.0:  # nodes no longer distinguishable from the endpoints
-                break
-            ew = math.exp(w)
-            e2w = ew * ew
-            delta = 2.0 / (e2w + 1.0)  # 1 - tanh(w), computed without cancellation
-            sech = 2.0 * ew / (e2w + 1.0)
-            dxdu = half * _HALF_PI * math.cosh(u) * sech * sech
-            # k = 0 is the centre, one node; every other k is a pair
-            for x in (b - half * delta, a + half * delta)[: 1 + (k > 0)]:
-                if a < x < b:
-                    try:
-                        term = dxdu * f(x)
-                    except ArithmeticError as exc:  # f's own, refused as a non-finite value
-                        _settle(best, tol, 0.0, False, a, b, exc)
-                    evals += 1
-                    terms.append(term)
-            k += 1
-        try:
-            s = h * math.fsum(terms)
-            rounding = _TS_ROUNDING_ULPS * _EPS * h * math.fsum(map(abs, terms))
-        except (ValueError, OverflowError) as exc:  # inf - inf, or a sum beyond the doubles
-            _settle(best, tol, 0.0, False, a, b, exc)
-        diff = abs(s - prev)
-        best = Estimate(s, max(diff, rounding), evals)
-        floor = rounding if diff <= rounding else 0.0  # binds once the levels agree
-        if _settle(best, max(tol, tol * abs(s)), floor, level == _TS_MAX_LEVELS, a, b):
-            return best
-        prev = s if level else prev
+    return integrate(lambda v: 2.0 * v * f(a + v * v), 0.0, math.sqrt(b - a), tol)
 
 
 def integrate2d(

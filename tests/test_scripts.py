@@ -72,9 +72,9 @@ def test_mesh_convergence_rows():
     "args,digest",
     [
         (("--tol", "1e-9", "--mc-samples", "10000", "--seed", "7"),
-         "4c8b267a21e687f699b79b0f1f757c98ec5173e4a8f3441c2d908a23a863a789"),
+         "cbe6fba6a255513eeeb523808e4d6ece1681e6d727630f48a9c21dd48694c543"),
         (("--tol", "1e-12", "--mc-samples", "20000", "--seed", "3"),
-         "4215d77c9ff55a3e0942b1deb77166b9ce2bf24af4b5c7573e45bb9c6b8a1295"),
+         "65b770fdaa7692654c1c9a640c84b212bad48597c0300e83df5e8c200eccea4d"),
     ],
 )
 def test_reproduce_constants_stdout_is_pinned(args, digest):

@@ -16,81 +16,81 @@ import pytest
 from oloid import cli
 
 PINS = {
-    'constants --radius 1 --tol 1e-9 --format text': (0, '22eb9279fa15aa00322203737ee79bdb3f4f57c3497654dfa24fee5317226a61'),
-    'constants --radius 1 --tol 1e-12 --format text': (0, '037a4baa33fc595f4e3678d300f0be31c2979de6dd5d9310cbb32a75b02dc0ba'),
-    'constants --radius 1 --tol 1e-15 --format text': (0, 'add03d6c7feb0c63b4b097cedc4bd92a3559891555742fb8c3d07a340be312ef'),
+    'constants --radius 1 --tol 1e-9 --format text': (0, 'ef062a5f126b0b167da96cdbad9e3d4b040d6ea87105daec41a70c63ed4e8c9b'),
+    'constants --radius 1 --tol 1e-12 --format text': (0, 'b7f7ca3551a36558b6a41cb29e59a5b51dcdbcc2bde41f6ee54e2b5cfaa2de46'),
+    'constants --radius 1 --tol 1e-15 --format text': (0, '4c5df71e69b37d7a63da01468f81549ec24b38e71c45465ce56684d407728bb9'),
     'parallel --radius 1 --rho 0 --format text': (0, 'f92c1ab75e21999f2374738b3205bf344646dd4a6f1eb2bd2ef8a480960eea5e'),
     'parallel --radius 1 --rho 0.5 --format text': (0, '9d8c2a5e006101bb4cec6849b6604a7238e5c669e28b4e83ea13eb4694974608'),
     'parallel --radius 1 --rho 3 --format text': (0, 'ff937fcb72ef69011955888a099e0d9bafdca7df85274f00c9779063e9d44b5c'),
     'kinematic --pair ball-ball --radius 1 --format text': (0, '2d359ac3521f4492fc10ff1cd85edfd9740d13f2f25b49c076dfc09d109a38d1'),
     'kinematic --pair oloid-ball --radius 1 --format text': (0, 'e61e6cc489481480b65e92f22d9384968fbee75bef65695d01d7b65dff40adbf'),
     'kinematic --pair oloid-oloid --radius 1 --format text': (0, 'ddeaa85f3b3d97f012bcef3f3dd43e669d6c46643c6b1628060d0b57469d856a'),
-    'constants --radius 0.37 --tol 1e-9 --format text': (0, '30a0e41337a55e4fccc6578d73ddf214919eae3c49fd5301099d9b858485fa7f'),
-    'constants --radius 0.37 --tol 1e-12 --format text': (0, '8129de4ce7b745f7fdae5ce7576674ba5858aa7adb74a2a69ac32a87de030c19'),
-    'constants --radius 0.37 --tol 1e-15 --format text': (0, '2ecc031b2d63cd53480ada7ad6d9c8a5ed822e3abb892d84827ff561b6b97e91'),
+    'constants --radius 0.37 --tol 1e-9 --format text': (0, '77f92817f1a27046fce2230478ae44accbdc77c9308a1fd8208cc11cf9f66c31'),
+    'constants --radius 0.37 --tol 1e-12 --format text': (0, 'c5d2484809e842d38bc05902b7f06c991335e36779990be86895d196f5ab52c9'),
+    'constants --radius 0.37 --tol 1e-15 --format text': (0, '8069842fbcbc8531996ef9322915ff44ca6a41886da32f646fe77eca2838327e'),
     'parallel --radius 0.37 --rho 0 --format text': (0, 'f101338b6a8a1b4c0309b57f112dc597799eb7396aaf7233f8dbc2c1b6441386'),
     'parallel --radius 0.37 --rho 0.5 --format text': (0, '38619b65c79234cdc7b4509d87ec7745a18c4df52f226dc60e4823483c9bb935'),
     'parallel --radius 0.37 --rho 3 --format text': (0, 'ed682d5ab55323cc2a403468df5099041e7e8f892ac24d3fdf707cb67a4ddf5b'),
     'kinematic --pair ball-ball --radius 0.37 --format text': (0, '98bdc77834683e0b65215ecbdfb33a72e6afe59d3173122be20e612a0876f250'),
     'kinematic --pair oloid-ball --radius 0.37 --format text': (0, '282afae0c9b2ba7a889c19cff17a63fe9214292561d453c7e4274734502d6875'),
     'kinematic --pair oloid-oloid --radius 0.37 --format text': (0, '28e6491b70fd81c95b2a6267a4431245673f3dd69d7b8f10729131e2653c73e6'),
-    'constants --radius 2.5 --tol 1e-9 --format text': (0, 'fce58558ea983286b612125cfdf5d408ea5973bbe26e1ff302c2f17a500336f4'),
-    'constants --radius 2.5 --tol 1e-12 --format text': (0, '58110afdb882cfc69d42a02661a449e4a68bd871b9e9cac7c0258abd78d06709'),
-    'constants --radius 2.5 --tol 1e-15 --format text': (0, '59bef2c2bb2f8afb70451443fa5e733588291f58696dc0f51df29d866faf1c55'),
+    'constants --radius 2.5 --tol 1e-9 --format text': (0, 'd1f40a00a98df68e7c23dbc24a96d5df4c3cb909ee11d2bbdeeb8112fc075b1c'),
+    'constants --radius 2.5 --tol 1e-12 --format text': (0, 'e163aa6187d567da6f62713b393d4be05756185a12dc6f46b7c59a3308b646a3'),
+    'constants --radius 2.5 --tol 1e-15 --format text': (0, 'ee4e5eae7d82493664eac322fbd927b11a3234d97b506d12f9218096bcfc319e'),
     'parallel --radius 2.5 --rho 0 --format text': (0, '3d2e07e7312e8291bb3764bc3bd41b32bf1ce5afc5f23687990a38e59ad8386a'),
     'parallel --radius 2.5 --rho 0.5 --format text': (0, '6ecdeaeb3de794312654c323878dd67b2d94b22e4907326293504499ed07c7ae'),
     'parallel --radius 2.5 --rho 3 --format text': (0, 'e2cbe3180dd06c5b5af10789ceff32798c3d148f2edbf9d06ce23b02a53c5736'),
     'kinematic --pair ball-ball --radius 2.5 --format text': (0, 'a3ea9069415a120d6dd19ee54d7d4e6c262a943eacf3a2e029393ea2a8edb706'),
     'kinematic --pair oloid-ball --radius 2.5 --format text': (0, 'db008506cb1fbc459273e93d00158911ddd61fbc06ca4d4952dce1d33c7f7244'),
     'kinematic --pair oloid-oloid --radius 2.5 --format text': (0, 'bd7a073e0c8a82f0bfbbc39721fb1a8d3a843db185e1a3978e703db19dee8781'),
-    'constants --radius 1 --tol 1e-9 --format json': (0, '5cffc34e5caa70519440deaa2aa934a028eeca58d35ac81f00200d6fbf674a3c'),
-    'constants --radius 1 --tol 1e-12 --format json': (0, '502eb30130ed7704eaba4b72b87246548e61ea943b1f2388a194d1c30d616be4'),
-    'constants --radius 1 --tol 1e-15 --format json': (0, '6108364b2e0eeb6c79243c3ef64c4ffc15b8b8a3fec3edabc0f593c46900b954'),
+    'constants --radius 1 --tol 1e-9 --format json': (0, '83e5c5fa18028ef307c4818a319e2ee5623265680d20eb70f8753b10c810c447'),
+    'constants --radius 1 --tol 1e-12 --format json': (0, '6f0b1131a002e19ad719673c19400d36b55a2fe0063fda23fc16d7edaba5589d'),
+    'constants --radius 1 --tol 1e-15 --format json': (0, 'adcc56d4c09630a4556e5fb50c5cf4f0ebfbac378b3e4d9451da8c787a2962fa'),
     'parallel --radius 1 --rho 0 --format json': (0, '237dd9b36b18fa13d885462d50daa662fd649ce9cbfdf1ecf7213b3dc15067ff'),
     'parallel --radius 1 --rho 0.5 --format json': (0, 'af19dd1937fa9c8e64015a39345ad1e594c25b6c3d44ce048b828266b53b4d58'),
     'parallel --radius 1 --rho 3 --format json': (0, '258abb09dff863a7c43f578047a2d8b5bb61c70e4315c67b4fad8e1be8dfa614'),
     'kinematic --pair ball-ball --radius 1 --format json': (0, 'c5caae56071b07933e608717f49b1552c6c9f1b35694ec4e549f820422c8b60c'),
     'kinematic --pair oloid-ball --radius 1 --format json': (0, '848bf8cf0c6576d999e6f098ff8ad270d038906eb6db0fa9d129876d6e11dd14'),
     'kinematic --pair oloid-oloid --radius 1 --format json': (0, '46a36872bb8151bacd2f09d71bfc7c7e37de3a51809be3bdecbb6517476438ba'),
-    'constants --radius 0.37 --tol 1e-9 --format json': (0, '7b59af1046c5fe59a2255ee0056fcb7a992d2b878595488f105b0094fea84a28'),
-    'constants --radius 0.37 --tol 1e-12 --format json': (0, '5300dee7d14266c1eb4af98b075c0bd71192ea1c608f90517bf47b5865c0130d'),
-    'constants --radius 0.37 --tol 1e-15 --format json': (0, 'cc0a583198cfe3baca8b88f50fd05124a937f06d005693a6b01cf206f2a2f5bc'),
+    'constants --radius 0.37 --tol 1e-9 --format json': (0, 'd1647d4a45cf57c70412c82a7545513e8fefab38eb703bdc14d926dd48e8da8a'),
+    'constants --radius 0.37 --tol 1e-12 --format json': (0, 'f5328e71e19180d96d70c0887855fc280f8321f83140d9a6520b6f37b9de6a9e'),
+    'constants --radius 0.37 --tol 1e-15 --format json': (0, '9618e5279f9ec7f145ace8730c8be86c195cf78b11ae38cf9580d5263bf81a11'),
     'parallel --radius 0.37 --rho 0 --format json': (0, '6a1420c6bae1ee03084b6ee743d853099ea629788390fe2f32dea1328866f0a1'),
     'parallel --radius 0.37 --rho 0.5 --format json': (0, 'e053ea99dd86fb5e8f3822dc63df38d939fd3878cf2e6b893dc725ab6595f1d3'),
     'parallel --radius 0.37 --rho 3 --format json': (0, '67df56860af5152f253ac23ee0d5ee0392976d5e5aff11800fd5d99294d200f5'),
     'kinematic --pair ball-ball --radius 0.37 --format json': (0, '3bd962f84957195163f62cb52b6ebc46087e63065f84bce314f83c6aeda0fc3e'),
     'kinematic --pair oloid-ball --radius 0.37 --format json': (0, 'dfc035bc3fb3c454105b7e174102d527c21b664b3bc7359c664276fcb0e5930b'),
     'kinematic --pair oloid-oloid --radius 0.37 --format json': (0, 'c94597ee7745738f779f43776e5e46f242f80ca2fcf89531f50dd9e4d997e62b'),
-    'constants --radius 2.5 --tol 1e-9 --format json': (0, '423367d256faae1a1b65bf4e0ef2f167a5ed8d0348abf9ca13eeb78fd0265f90'),
-    'constants --radius 2.5 --tol 1e-12 --format json': (0, '7af7868e1c08c8955e1e23380fda270ab9cec57a8d3371b5c208618eaf5d8bc3'),
-    'constants --radius 2.5 --tol 1e-15 --format json': (0, '7a1af9f6d4cc1cc2f764688b026d382d9ed456ba75c4139c881fabe6192577a7'),
+    'constants --radius 2.5 --tol 1e-9 --format json': (0, '8b538e17573d8a99b852c69352570d3aafb1617ccefede5add0b5dccdcc86df6'),
+    'constants --radius 2.5 --tol 1e-12 --format json': (0, '2ab83a404e6884a4daf5f170eb0fe27f2667aea355cd9ea0d32ee493b2122507'),
+    'constants --radius 2.5 --tol 1e-15 --format json': (0, '1d6e772004ce41fcbcab749ffdbe5240b8e228c7a5778cf61688499776a78a87'),
     'parallel --radius 2.5 --rho 0 --format json': (0, '491ff672747da7ad29ec86d54700d041325e8978da64652766991f73d6319117'),
     'parallel --radius 2.5 --rho 0.5 --format json': (0, '6f1a267811173c753aa0c2bcb9628a6ae94df039a2fee3af6d5f75c6fc0f47df'),
     'parallel --radius 2.5 --rho 3 --format json': (0, '699fa0c6baea863beafc30f04a172988538a2a30e36b5c5bf1cb9ad3c63e878e'),
     'kinematic --pair ball-ball --radius 2.5 --format json': (0, 'b38aabd981f6a4b824590d1eb7c74aad66e4dad3cb04a09072b00bbfe639fa50'),
     'kinematic --pair oloid-ball --radius 2.5 --format json': (0, '07c84227f5de6b9b74414138dc0d3a2346907d2c0389c1bafec7a6a238245f18'),
     'kinematic --pair oloid-oloid --radius 2.5 --format json': (0, '8d7b6fba904c1c9b8cc4515a293a7ff63582cd7d403440473cb217df1092e526'),
-    'constants --radius 1 --tol 1e-9 --format csv': (0, '04fb5782cf891a67d13dfb21958b57c538d8505b4c751f25a79ec27c63cc3dd3'),
-    'constants --radius 1 --tol 1e-12 --format csv': (0, '5c951528b5d39cc9e87c4c7268308419df7d92788dbc1b9024242ba7d115d5ac'),
-    'constants --radius 1 --tol 1e-15 --format csv': (0, 'd13b2d66f12c3a3fba3250ac8a65a94007e5a728370d515faaf09b1c0b099d84'),
+    'constants --radius 1 --tol 1e-9 --format csv': (0, 'd9b67b47d73d06e052d344336a57ad51b165f4a263fe0ed93e2019c640a95ba7'),
+    'constants --radius 1 --tol 1e-12 --format csv': (0, 'f2903560153e3c6459581c84025de867b36bd900f79f58235026419d3132a6c6'),
+    'constants --radius 1 --tol 1e-15 --format csv': (0, 'b0d4b8821d3f94f65c3583987d49b7400c7085fdd6ffa66363f89c08f2c8a7e5'),
     'parallel --radius 1 --rho 0 --format csv': (0, '0be392af5bf708c1499b243d18212e20a68a21431f9a403b6f556fb1e819aa27'),
     'parallel --radius 1 --rho 0.5 --format csv': (0, '8493831d648dd5e8498ab2bcd40a3077376a6eb19347875f5e35056e3f11ebaa'),
     'parallel --radius 1 --rho 3 --format csv': (0, '53fb57bd8671246993742dffb490c4289738f624b4b29991e315721ba44a9a4e'),
     'kinematic --pair ball-ball --radius 1 --format csv': (0, '525ebe30de979289448246ad123f5cef3966181e0b6b6b87b0cb5d9073c72141'),
     'kinematic --pair oloid-ball --radius 1 --format csv': (0, '3ed5475bdcb051a9119454dc9d6afebc659b90ae69ccff0c9f6fd7383a5222b8'),
     'kinematic --pair oloid-oloid --radius 1 --format csv': (0, '7dde5ef59823681fbd084ef8af96eb97a7aca92e50ad16a395ed8bd686707912'),
-    'constants --radius 0.37 --tol 1e-9 --format csv': (0, '226edbc533d14015aedf175bdfb76d59c9f0c33b9005196236efb853eac07ffa'),
-    'constants --radius 0.37 --tol 1e-12 --format csv': (0, '9970711ac244b1785d0e9b6ef927a6b73b23bc91bcd7cfd9030c9079752da0bc'),
-    'constants --radius 0.37 --tol 1e-15 --format csv': (0, '672d5156baef0b6ab47a4f6604191ac65e97d005ab33117f0e3f19e2cc67dc6a'),
+    'constants --radius 0.37 --tol 1e-9 --format csv': (0, '42e22100605229c533af06c336eb08ce19fe06fb0a1a658e0b8d22d52b7d682f'),
+    'constants --radius 0.37 --tol 1e-12 --format csv': (0, '5e44e32bcb9d0f12365ef9dfbb80263f477cfc7e0a4f13fa8d04d13f5a6d94b7'),
+    'constants --radius 0.37 --tol 1e-15 --format csv': (0, '9eed8d63e57d166ad295a5f3dc28ef87c96e629d20e8a6df9786c094b33dd623'),
     'parallel --radius 0.37 --rho 0 --format csv': (0, '15730edb6d90b5ff20cb042db6db9c968a03714e5306b58aaf468a7b0f606f41'),
     'parallel --radius 0.37 --rho 0.5 --format csv': (0, '408cebfebca714cff84103ce7a47d1a11d0453883c4e7f1c2b1005a6f95b76b2'),
     'parallel --radius 0.37 --rho 3 --format csv': (0, '5d0916deab0f022d23e2c6f4afa851b9a7f537f22f65e6506c6dc6a773095b03'),
     'kinematic --pair ball-ball --radius 0.37 --format csv': (0, '1c989258cde4b92bbef2b1fbb84d9a7afa75a72f439d037de2e4c4bc81447144'),
     'kinematic --pair oloid-ball --radius 0.37 --format csv': (0, '33a3dd5a0dbd6aed510bd21c21126f31fc329dc92d880e53b25d7b44bd1fb093'),
     'kinematic --pair oloid-oloid --radius 0.37 --format csv': (0, '7e341a64fdc075e5da13e7d9563ddd006f2bb7bd597cf2b6910725616ace9972'),
-    'constants --radius 2.5 --tol 1e-9 --format csv': (0, 'fb87ada8dd9ecfa05e168953d674396ccd17cb3be85c81083a1387c77835bf16'),
-    'constants --radius 2.5 --tol 1e-12 --format csv': (0, '29bf208f911a8c51e82a6c15e9bedaec73e2b6b2e17d41bfdf3a78432f7d7b82'),
-    'constants --radius 2.5 --tol 1e-15 --format csv': (0, '880bf5c9c85c3e631291d5249469b2baaa33efb9ddb0e8db4a840c59b1f68579'),
+    'constants --radius 2.5 --tol 1e-9 --format csv': (0, 'c23403a26c10ac3dfb74877056d3782844d5c568effde942c192e19b9ccc2319'),
+    'constants --radius 2.5 --tol 1e-12 --format csv': (0, '2e4f86f368934ebe565c9d63c42399a480b7f6ecbef8dca85134cd76b237f2f1'),
+    'constants --radius 2.5 --tol 1e-15 --format csv': (0, '96507745108716da1134fd5575783300ea9d73fcca7959d6cc6eec3b4a21102f'),
     'parallel --radius 2.5 --rho 0 --format csv': (0, 'f9baa3c63e93166e83248b6bbc2a26ce78c0bf8bfa5dc51187afdc569cf63561'),
     'parallel --radius 2.5 --rho 0.5 --format csv': (0, '6b8e7c5b3da9e68a3d0ed2ff6b74dc91e24d1c34b946201676f49e6a5be276c4'),
     'parallel --radius 2.5 --rho 3 --format csv': (0, '7218cc3ad61759f832acbbf349bad5144040276587bbe4d1f0e21f72ccf56407'),
