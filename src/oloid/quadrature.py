@@ -4,8 +4,8 @@ Three entry points:
 
 * :func:`integrate` -- adaptive bisection driven by a nested pair of
   Gauss-Legendre rules (10 and 21 points); the per-panel error estimate is
-  the difference between the two rules, floored at the rounding error of
-  the panel sums, 1.5 ulps per unit of ``sum |panel values|``.
+  the difference between the two rules, floored at 1.65 ulps per unit of
+  the panel's magnitude ``sum |w_i f(x_i)|``, to which its rounding scales.
 * :func:`integrate_singular` -- the same rule after x = a + v^2, which makes
   square-root-type behaviour at ``a``, such as ``(x - a)**(-1/2)``, smooth in
   v (Davis & Rabinowitz, *Methods of Numerical Integration*, 2nd ed. 1984).
@@ -19,10 +19,10 @@ constants computed in this project span two orders of magnitude, so a purely
 absolute or purely relative target would be wrong at one end.  No inaccurate
 result is returned: :func:`integrate`, which the other two call, raises
 :class:`QuadratureError`, carrying its last finite estimate, if any, at once for a
-non-finite value (an integrand's own ``ArithmeticError`` counts as one) or a
-target below the rounding floor of its sums, and otherwise at its cap of
-``MAX_PANELS`` = 2^15 panels (2,031,585 evaluations); the order of evaluation
-and summation is fixed, so results are deterministic.
+non-finite value (an integrand's own ``ArithmeticError`` counts as one), once
+its estimate is down to a rounding floor above the target, and otherwise at
+its cap of ``MAX_PANELS`` = 2^15 panels (2,031,585 evaluations); the order of
+evaluation and summation is fixed, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -41,9 +41,11 @@ __all__ = [
 
 MAX_PANELS = 1 << 15
 
-# err_est floor per unit of sum|panel values|: at 1.25 ulps the volume's fell
-# below its true error at tol 3e-16; at 2 the direct mean width refuses 1e-15.
-_ROUNDING = 1.5 * math.ulp(1.0)
+# err_est floor per unit of panel magnitude (see _gk_panel).  It also has to cover
+# f's own rounding, which the rule cannot see, so it is a fit to the oloid integrands,
+# not a bound: at 1.54 ulps the volume's err_est fell below its true error near
+# tol 3.4e-16, and at 1.8 the direct mean width refuses tol 1e-15.
+_ROUNDING = 1.65 * math.ulp(1.0)
 
 
 def _mirror(half: tuple) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -110,102 +112,94 @@ def _check_args(a: float, b: float, tol: float) -> None:
         raise ValueError(f"tolerance must be {'finite' if tol > 0.0 else 'positive'}, got {tol!r}")
 
 
-def _settle(best: Estimate, target: float, floor: float, spent: bool, a: float, b: float,
-            fault: ArithmeticError | None = None) -> bool:
-    """Whether ``best`` meets ``target``; False asks the rule to refine further.
-
-    Quadrature fails only here: a :class:`QuadratureError` carrying ``best``
-    is raised for a non-finite value, a NaN error, a ``fault`` of the
-    integrand, a rounding ``floor`` above the target, or a ``spent`` budget.
-    """
-    if fault is not None or not math.isfinite(best.value) or math.isnan(best.err_est):
-        reason = "non-finite estimate"
-    elif best.err_est <= target:
-        return True
-    elif floor > target:
-        reason = "target below the rounding floor"
-    elif spent:
-        reason = "no convergence within budget"
-    else:
-        return False
-    where = f"on [{a}, {b}]: err_est={best.err_est:.3e} after {best.evals} evaluations"
-    raise QuadratureError(f"{reason} {where}", best) from fault
-
-
-def _gk_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+def _gk_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, float]:
+    """The 21-point value, its distance from the 10-point value, and its magnitude
+    ``half * sum |w_i f(x_i)|``, which is ``|value|`` if f keeps one sign on the panel."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     lo = 0.0
     for x, w in zip(_X10, _W10):
         lo += w * f(mid + half * x)
     hi = 0.0
+    mag = 0.0
     for x, w in zip(_X21, _W21):
-        hi += w * f(mid + half * x)
+        term = w * f(mid + half * x)
+        hi += term
+        mag += abs(term)
     lo *= half
     hi *= half
-    return hi, abs(hi - lo)
+    return hi, abs(hi - lo), half * mag
 
 
 def _sums(panels: list) -> tuple[float, float, float]:
-    """Value, error estimate and rounding floor ``_ROUNDING * sum |value|`` of the panels.
+    """Value, error estimate and rounding floor ``_ROUNDING * sum magnitude`` of the panels.
 
     fsum is correctly rounded, so the sums do not depend on the panels' order.
     """
     return (
         math.fsum(p[4] for p in panels),
         math.fsum(-p[0] for p in panels),
-        _ROUNDING * math.fsum(abs(p[4]) for p in panels),
+        _ROUNDING * math.fsum(p[5] for p in panels),
     )
 
 
-def integrate(
-    f: Callable[[float], float], a: float, b: float, tol: float
-) -> Estimate:
+def integrate(f: Callable[[float], float], a: float, b: float, tol: float) -> Estimate:
     """Integrate ``f`` over [a, b] to ``max(tol, tol * |I|)``.
 
     Adaptive bisection: the panel with the largest error estimate (ties
     broken by creation order, so results are deterministic) is split until
     the summed estimates meet the target.  ``err_est`` is never below the
-    rounding floor, 1.5 ulps per unit of ``sum |panel values|``.  Raises
-    :class:`QuadratureError`, with the last finite estimate if there is one,
-    as soon as a panel is not finite or the floor alone exceeds the target,
-    or after ``MAX_PANELS`` = 2^15 panels.
+    rounding floor, 1.65 ulps per unit of the panels' summed magnitude.
+    Quadrature fails only here, with a :class:`QuadratureError` carrying the
+    last complete estimate: at once for a non-finite value, a NaN error or an
+    ``ArithmeticError`` of ``f``; once the error estimate has come down to a
+    floor above the target; or after ``MAX_PANELS`` = 2^15 panels.
     """
     _check_args(a, b, tol)
     try:
-        v, e, fault = *_gk_panel(f, a, b), None
+        v, e, m, fault = *_gk_panel(f, a, b), None
     except ArithmeticError as exc:  # f's own, refused as a non-finite value
-        v, e, fault = math.nan, math.nan, exc
-    # heap entries: (-err, tie-breaker rising with insertion, left, right, value)
-    heap = [(-e, 0, a, b, v)]
+        v, e, m, fault = math.nan, math.nan, math.nan, exc
+    # heap entries: (-err, tie-breaker rising with insertion, left, right, value, magnitude)
+    heap = [(-e, 0, a, b, v, m)]
     evals = _EVALS_PER_PANEL
-    run_v, run_e, run_floor = v, e, _ROUNDING * abs(v)
+    run_v, run_e, run_floor = v, e, _ROUNDING * m
     while True:
         target = max(tol, tol * abs(run_v))
         exhausted = len(heap) >= MAX_PANELS
-        # "not >" also stops at a NaN error estimate, which is then refused
-        if fault is not None or not run_e > target or run_floor > target or exhausted:
+        # stop at the target or, if higher, at the floor, so that a refusal carries
+        # an estimate as good as the floor allows; "not >" also stops at a NaN
+        if fault is not None or not run_e > max(target, run_floor) or exhausted:
             # resync the running sums, which drift, before deciding
             run_v, run_e, run_floor = _sums(heap)
             best = Estimate(run_v, max(run_e, run_floor), evals)
-            if _settle(best, max(tol, tol * abs(run_v)), run_floor, exhausted, a, b, fault):
+            if fault is not None or not math.isfinite(run_v + run_floor) or math.isnan(run_e):
+                reason = "non-finite estimate"
+            elif best.err_est <= max(tol, tol * abs(run_v)):
                 return best
-            continue
-        neg_e, _, pa, pb, pv = heap[0]  # stays in the heap until both halves are evaluated
+            elif not run_e > run_floor:  # err_est is the floor, above the target
+                reason = "target below the rounding floor"
+            elif exhausted:
+                reason = "no convergence within budget"
+            else:
+                continue
+            where = f"on [{a}, {b}]: err_est={best.err_est:.3e} after {evals} evaluations"
+            raise QuadratureError(f"{reason} {where}", best) from fault
+        neg_e, _, pa, pb, pv, pmag = heap[0]  # stays in the heap until both halves are evaluated
         pm = 0.5 * (pa + pb)
         try:
-            (v1, e1), (v2, e2) = _gk_panel(f, pa, pm), _gk_panel(f, pm, pb)
-            if not math.isfinite(v1 + v2 + e1 + e2):  # refused like f's own overflow
+            (v1, e1, m1), (v2, e2, m2) = _gk_panel(f, pa, pm), _gk_panel(f, pm, pb)
+            if not math.isfinite(v1 + v2 + e1 + e2 + m1 + m2):  # refused like f's own overflow
                 raise FloatingPointError(f"non-finite panel on [{pa}, {pb}]")
         except ArithmeticError as exc:  # the heap still holds the last complete estimate
             fault = exc
             continue
         evals += 2 * _EVALS_PER_PANEL
-        heapq.heapreplace(heap, (-e1, evals, pa, pm, v1))
-        heapq.heappush(heap, (-e2, evals + 1, pm, pb, v2))
+        heapq.heapreplace(heap, (-e1, evals, pa, pm, v1, m1))
+        heapq.heappush(heap, (-e2, evals + 1, pm, pb, v2, m2))
         run_v += v1 + v2 - pv
         run_e += e1 + e2 + neg_e
-        run_floor += _ROUNDING * (abs(v1) + abs(v2) - abs(pv))
+        run_floor += _ROUNDING * (m1 + m2 - pmag)
 
 
 def integrate_singular(
@@ -216,10 +210,15 @@ def integrate_singular(
     :func:`integrate` of ``2 v f(a + v^2)`` over [0, sqrt(b - a)]: the
     substitution x = a + v^2 makes ``(x - a)**(-1/2)`` and ``sqrt(x - a)``
     terms smooth in v.  Target, refusals, ``best`` and ``evals`` are those
-    of :func:`integrate` on the substituted integrand.
+    of :func:`integrate` on the substituted integrand; a refusal names (a, b).
     """
     _check_args(a, b, tol)
-    return integrate(lambda v: 2.0 * v * f(a + v * v), 0.0, math.sqrt(b - a), tol)
+    end = math.sqrt(b - a)
+    try:
+        return integrate(lambda v: 2.0 * v * f(a + v * v), 0.0, end, tol)
+    except QuadratureError as exc:
+        message = str(exc).replace(f"on [0.0, {end}]", f"on [{a}, {b}]", 1)
+        raise QuadratureError(message, exc.best) from exc.__cause__
 
 
 def integrate2d(
