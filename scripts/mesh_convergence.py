@@ -8,7 +8,6 @@ A bad flag exits 64, and a computational failure exits 1 with one
 """
 
 import math
-import sys
 import time
 
 from oloid import cli, intrinsic
@@ -47,4 +46,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(cli._run(main))
+    cli._process(cli._run, main)

@@ -8,7 +8,6 @@ computational failure exits 1 with one ``computational failure:`` line.
 """
 
 import math
-import sys
 
 from oloid import cli, intrinsic, support
 
@@ -52,4 +51,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(cli._run(main))
+    cli._process(cli._run, main)

@@ -20,9 +20,10 @@ digits in json/csv, 12 in text, and a fixed record order.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from . import intrinsic, steiner_kinematic, support, surface
 from .quadrature import Estimate, QuadratureError
@@ -73,12 +74,11 @@ def _integer(flag: str, lo: int, hi: int, why: str = "", span: str = ""):
 # closure check's sorted edge keys of one of its two ranges (50 MB) are the
 # largest temporary.
 MAX_RESOLUTION = 1024
-# Monte Carlo memory is bounded by the leaf size times the sampler threads (at
-# most 8, each holding one leaf of its 2^16-sample shard at a time, 512 KB at
-# most), plus one float64 row of sums per shard (0.5 MB at the cap), and time
-# is linear in the sample count: the ball-ball oracle takes about 10 s at the
-# cap on a 2-core VM (2 threads), with a peak RSS of 36.0 MB, against 35.7 MB
-# at 2*10^7 and 34.6 MB at 10^4.
+# Monte Carlo memory is one leaf per sampler thread (at most 8 threads; 320 KB
+# for the mean width, 512 KB for ball-ball) plus a float64 row of sums per
+# 2^16-sample shard (0.5 MB at the cap), and time is linear in the samples.  On
+# 2 cores at the cap, ball-ball takes about 11 s and peaks at 36.5 MB (35.8 MB
+# at 2*10^7, 34.7 MB at 10^4); the script's mean width about 29 s, at 35.8 MB.
 MAX_MC_SAMPLES = 1_000_000_000
 _SEED = _integer("--seed", 0, support.SEED_LIMIT - 1, span="0..2**64-1")
 
@@ -301,5 +301,13 @@ def main(argv: list[str] | None = None) -> int:
     return _run(args.func, args)
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def _process(func, *args) -> NoReturn:
+    """``sys.exit(func(*args))`` as a process's one request, the collector off:
+    ``gc.freeze()`` spares the exit collection numpy's import graph (about
+    20 ms).  ``main`` and ``_run`` in process leave the collector as found."""
+    gc.disable()
+    try:
+        code = func(*args)
+    finally:
+        gc.freeze()
+    sys.exit(code)

@@ -311,6 +311,17 @@ def width_shard(rng, count):
     return float(np.sum(w)), float(np.sum(w * w))
 
 
+def angle_width_shard(rng, count):
+    """(sum of w, sum of w^2) drawn as the sampler draws them: one row of
+    uniforms (|u_y|, v) per direction, psi = (pi/4) v the angle of (u_x, u_z),
+    and w from A = hypot(u_x, u_y) and B = hypot(u_y, u_z) in plain expressions."""
+    y, v = rng.random((count, 2)).T
+    u_x2 = (1.0 - y * y) * np.cos(v * (0.25 * np.pi)) ** 2
+    a, b = np.sqrt(y * y + u_x2), np.sqrt(1.0 - u_x2)
+    w = np.maximum(np.abs(a - b), y) + a + b
+    return float(np.sum(w)), float(np.sum(w * w))
+
+
 def philox(key):
     """The Philox generator of a shard's key [seed, shard]."""
     return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))

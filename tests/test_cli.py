@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -192,6 +193,51 @@ def test_kinematic_mc_unsupported_pair_fails():
                 "computational failure: Monte Carlo oracle is only available for "
                 f"ball-ball, not {pair}\n"
             )
+
+
+# `python -m oloid`, run through runpy after one quadrature volume is moved
+# by 1e-3, so that `constants` finds a route disagreement
+_DISAGREEING_MAIN = """
+import runpy
+from oloid import cli
+scaled = cli._scaled
+def off(name, route, est, scale, power):
+    record = scaled(name, route, est, scale, power)
+    return record._replace(value=record.value * 1.001) if name == "volume" else record
+cli._scaled = off
+runpy.run_module("oloid", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["parallel", "--rho", "0.5"], 0),
+    (["kinematic", "--pair", "oloid-ball", "--mc-samples", "10000"], 1),
+    (["constants"], 2),
+    (["parallel", "--rho", "-1"], 64),
+])
+def test_process_exit_codes(argv, code):
+    head = ["-c", _DISAGREEING_MAIN] if code == 2 else ["-m", "oloid"]
+    proc = subprocess.run([sys.executable, *head, *argv], capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+
+
+def test_process_runs_its_request_without_the_collector():
+    probe = "import gc; from oloid import cli; cli._process(lambda: print(gc.isenabled()) or 3)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (3, "False\n"), proc.stderr
+
+
+def test_collector_policy_stays_out_of_in_process_calls(tmp_path):
+    before = gc.isenabled(), gc.get_freeze_count()
+    for argv in (
+        ["parallel", "--rho", "0.5"],
+        ["kinematic", "--pair", "ball-ball", "--mc-samples", "10000"],
+        ["kinematic", "--pair", "oloid-ball", "--mc-samples", "10000"],
+        ["mesh", "--resolution", "4", "--out", str(tmp_path / "m.obj")],
+        ["parallel", "--rho", "-1"],
+    ):
+        run_main(argv)
+        assert (gc.isenabled(), gc.get_freeze_count()) == before, argv
 
 
 def test_kinematic_bad_pair_is_usage_error():

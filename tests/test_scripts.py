@@ -72,9 +72,9 @@ def test_mesh_convergence_rows():
     "args,digest",
     [
         (("--tol", "1e-9", "--mc-samples", "10000", "--seed", "7"),
-         "cbe6fba6a255513eeeb523808e4d6ece1681e6d727630f48a9c21dd48694c543"),
+         "9768c15441c20a75470233421e7827e56cdd88c7a76ae7034e5e9d40f010dcd1"),
         (("--tol", "1e-12", "--mc-samples", "20000", "--seed", "3"),
-         "65b770fdaa7692654c1c9a640c84b212bad48597c0300e83df5e8c200eccea4d"),
+         "b6afcf54c5c36c424346fa14c392a0ff92c14d6c7e310eedac1f336f457314e1"),
     ],
 )
 def test_reproduce_constants_stdout_is_pinned(args, digest):

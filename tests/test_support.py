@@ -320,21 +320,21 @@ def test_three_routes_mutually_consistent():
 # below one shard, a multiple of the shard size, a partial last shard, and
 # many shards
 WIDTH_BITS = {
-    (1000, 0): ("0x1.187424e11a291p+1", "0x1.926273bcf3356p-7"),
-    (50000, 0): ("0x1.1881753dc4f3ep+1", "0x1.c89de7db3ec22p-10"),
-    (2 * 2**16, 0): ("0x1.186ceafedb74cp+1", "0x1.1a7d33db91abbp-10"),
-    (3 * 2**16 + 17, 0): ("0x1.186aa55ec6049p+1", "0x1.cc93544dc7b2dp-11"),
-    (3000000, 0): ("0x1.186704e04b387p+1", "0x1.d79898c1b394ep-13"),
-    (1000, 7): ("0x1.16e54907d64c9p+1", "0x1.8d31c3edb4d7bp-7"),
-    (50000, 7): ("0x1.183a07a3745fep+1", "0x1.c81e4bb8abe6ap-10"),
-    (2 * 2**16, 7): ("0x1.18697163733edp+1", "0x1.1a424a0c035d6p-10"),
-    (3 * 2**16 + 17, 7): ("0x1.18654cc317178p+1", "0x1.cc8ea82068cfbp-11"),
-    (3000000, 7): ("0x1.186d5bed41bdap+1", "0x1.d7c00c394b38ep-13"),
-    (1000, 2**64 - 1): ("0x1.1b11a8f6e1a65p+1", "0x1.956b0b8b75996p-7"),
-    (50000, 2**64 - 1): ("0x1.189b885168bc5p+1", "0x1.c7fd109058382p-10"),
-    (2 * 2**16, 2**64 - 1): ("0x1.18a36afe36807p+1", "0x1.19a9cc8b69c26p-10"),
-    (3 * 2**16 + 17, 2**64 - 1): ("0x1.18804278afcbep+1", "0x1.cbf38221d8b3dp-11"),
-    (3000000, 2**64 - 1): ("0x1.1867222f1262dp+1", "0x1.d79e6c23ba069p-13"),
+    (1000, 0): ("0x1.16aaa9c99eb82p+1", "0x1.9603d94d17121p-7"),
+    (50000, 0): ("0x1.184077cb6e5dfp+1", "0x1.c84319dfe92eep-10"),
+    (2 * 2**16, 0): ("0x1.1844905181fe2p+1", "0x1.19d74af7035c9p-10"),
+    (3 * 2**16 + 17, 0): ("0x1.185c99419a96bp+1", "0x1.cc810b2de93aep-11"),
+    (3000000, 0): ("0x1.18630d831d85ep+1", "0x1.d776a63ef57f7p-13"),
+    (1000, 7): ("0x1.168d7a8437fdbp+1", "0x1.92bc85934b934p-7"),
+    (50000, 7): ("0x1.1833495f051fbp+1", "0x1.c728b23d0d947p-10"),
+    (2 * 2**16, 7): ("0x1.1878f6a2e3c28p+1", "0x1.1a69718bf8887p-10"),
+    (3 * 2**16 + 17, 7): ("0x1.1870c84cc344cp+1", "0x1.cd7ce93004f96p-11"),
+    (3000000, 7): ("0x1.18662900c18fcp+1", "0x1.d7b68dcbe2496p-13"),
+    (1000, 2**64 - 1): ("0x1.17db5ff6f8785p+1", "0x1.985a4484e336fp-7"),
+    (50000, 2**64 - 1): ("0x1.183a5fefa0c79p+1", "0x1.c8a3309e51a01p-10"),
+    (2 * 2**16, 2**64 - 1): ("0x1.18579c921fc10p+1", "0x1.19f8d2efed5e9p-10"),
+    (3 * 2**16 + 17, 2**64 - 1): ("0x1.1843618973c4bp+1", "0x1.cc8f0c8fb7676p-11"),
+    (3000000, 2**64 - 1): ("0x1.186da4644e7c0p+1", "0x1.d78ded402d3f7p-13"),
 }
 
 
@@ -351,7 +351,7 @@ def test_montecarlo_bits_independent_of_thread_count(monkeypatch, cores):
         assert (est.value.hex(), est.err_est.hex()) == bits, (n, seed)
         assert est.evals == n
     # the plain oracle kernel through the same reducer
-    monkeypatch.setattr(sp, "_width_leaf", oracles.width_shard)
+    monkeypatch.setattr(sp, "_width_leaf", oracles.angle_width_shard)
     n, seed = 3 * 2**16 + 17, 7
     est = sp.mean_width_montecarlo(n, seed)
     assert (est.value.hex(), est.err_est.hex()) == WIDTH_BITS[n, seed]
@@ -397,9 +397,33 @@ def _width_shard(rng, count):
 
 @pytest.mark.parametrize("count", (17, 1000, 50000, 2**16 - 1, 2**16))
 def test_width_shard_matches_plain_oracle(count):
+    # leaves draw their rows in sample order, so the whole shard in one
+    # plain pass gives the same bits
     for key in ([0, 0], [7, 3], [2**64 - 1, 45]):
         got = _width_shard(oracles.philox(key), count)
-        assert got == oracles.width_shard(oracles.philox(key), count)
+        assert got == oracles.angle_width_shard(oracles.philox(key), count)
+
+
+def test_widths_match_the_support_function():
+    # w from (|u_y|, cos^2 psi), psi = atan2(u_z, u_x), against h(u) + h(-u)
+    axes = np.vstack([np.eye(3), -np.eye(3)])
+    u = np.vstack([oracles.sphere_sample(RNG, 10**5), axes])
+    k = np.cos(np.arctan2(u[:, 2], u[:, 0])) ** 2
+    s, m = np.empty(len(u)), np.empty(len(u))
+    want = oracles.oloid_support_values(u) + oracles.oloid_support_values(-u)
+    got = sp._widths(np.abs(u[:, 1]), k, s, m)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    # the axes: w = 2 along e_x and e_z, 3 along e_y
+    assert got[-6:].tolist() == pytest.approx([2.0, 3.0, 2.0] * 2, abs=1e-15)
+
+
+@pytest.mark.parametrize("seed", (0, 7))
+def test_sampler_agrees_with_the_gaussian_sampler(seed):
+    # the same reducer over normalized Gaussians, the reference distribution
+    n = 10**6
+    mc = sp.mean_width_montecarlo(n, seed)
+    (gauss,) = sp._montecarlo(n, seed, 1000, oracles.width_shard, 1 << 13, 1)
+    assert abs(mc.value - gauss.value) < 4.0 * math.hypot(mc.err_est, gauss.err_est)
 
 
 def test_width_shard_working_set_is_one_leaf(monkeypatch):
@@ -408,34 +432,6 @@ def test_width_shard_working_set_is_one_leaf(monkeypatch):
     oracles.philox([0, 0])  # imports numpy.random outside the trace
     peak = oracles.traced_peak(lambda: sp.mean_width_montecarlo(2**16, 0))
     assert peak <= 0.6 * 2**20
-
-
-class _ZeroRows:
-    """Philox generator whose first ``batches`` standard_normal draws have
-    the given rows (those that exist) set to zero."""
-
-    def __init__(self, key, rows, batches):
-        self.rng = oracles.philox(key)
-        self.rows = rows
-        self.batches = batches
-        self.draws = 0
-
-    def standard_normal(self, shape):
-        x = self.rng.standard_normal(shape)
-        if self.draws < self.batches:
-            x[[r for r in self.rows if r < len(x)]] = 0.0
-        self.draws += 1
-        return x
-
-
-@pytest.mark.parametrize("batches", (1, 2))
-def test_width_shard_redraws_zero_rows(batches):
-    rows = (0, 17, 999)
-    stub = _ZeroRows([3, 1], rows, batches)
-    got = _width_shard(stub, 1000)
-    assert stub.draws == batches + 1
-    assert all(math.isfinite(x) for x in got)
-    assert got == oracles.width_shard(_ZeroRows([3, 1], rows, batches), 1000)
 
 
 def test_montecarlo_failure_stops_every_thread(monkeypatch, capfd):
